@@ -7,8 +7,10 @@ Three subcommands:
   plotdata  turn result CSVs into whitespace .dat files for gnuplot
 
 Exit codes: 0 ok, 2 invalid input (JSON, schema, or parameter), 3 theorem
-precondition refusal. Runs are deterministic: the same config produces
-byte-identical CSVs regardless of LOCALSGD_THREADS.
+precondition refusal, 4 numerical failure (a simulated iterate diverged).
+Runs are deterministic: the same config produces byte-identical CSVs, and the
+engine's seed batches are partition invariant, so the bytes do not depend on
+which seeds are simulated together.
 """
 
 from __future__ import annotations
@@ -246,13 +248,28 @@ def _write_csv(path: Path, header: list[str], rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _cells(column: np.ndarray) -> list[str]:
+    """_fmt of every entry of a numpy column, converted to Python values once."""
+    values = column.tolist()
+    if column.dtype == bool:
+        return ["1" if v else "0" for v in values]
+    return list(map(repr if column.dtype.kind == "f" else str, values))
+
+
+def _write_blocks(path: Path, header: list[str], blocks):
+    """_write_csv for (key, numpy columns) blocks: one row per column entry."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for key, columns in blocks:
+            key = _fmt(key) + ","
+            fh.writelines(key + ",".join(row) + "\n"
+                          for row in zip(*map(_cells, columns)))
+
+
 def write_metrics_csv(path: Path, agg):
-    rows = []
-    for run in agg.runs:
-        for i in range(len(run.t)):
-            rows.append((run.seed, int(run.t[i]), run.r[i], run.e[i],
-                         run.V[i], run.h[i], bool(run.is_comm[i])))
-    _write_csv(path, ["seed", "t", "r", "e", "V", "h", "is_comm_round"], rows)
+    _write_blocks(path, ["seed", "t", "r", "e", "V", "h", "is_comm_round"],
+                  ((run.seed, (run.t, run.r, run.e, run.V, run.h, run.is_comm))
+                   for run in agg.runs))
 
 
 def write_bounds_csv(path: Path, rep):
@@ -281,14 +298,11 @@ def write_tradeoff_csv(path: Path, rows):
 
 
 def write_convergence_csv(path: Path, by_label: dict):
-    rows = []
-    for label, agg in by_label.items():
-        for i in range(len(agg.t)):
-            rows.append((label, int(agg.t[i]), agg.mean_r[i], agg.se_r[i],
-                         agg.mean_e[i], agg.se_e[i], agg.mean_V[i], agg.se_V[i],
-                         agg.mean_h[i], agg.se_h[i]))
-    _write_csv(path, ["label", "t", "mean_r", "se_r", "mean_e", "se_e",
-                      "mean_V", "se_V", "mean_h", "se_h"], rows)
+    _write_blocks(path, ["label", "t", "mean_r", "se_r", "mean_e", "se_e",
+                         "mean_V", "se_V", "mean_h", "se_h"],
+                  ((label, (agg.t, agg.mean_r, agg.se_r, agg.mean_e, agg.se_e,
+                            agg.mean_V, agg.se_V, agg.mean_h, agg.se_h))
+                   for label, agg in by_label.items()))
 
 
 def _write_meta(outdir: Path, cfg: dict, spec: ExperimentSpec, extra: dict):
@@ -349,6 +363,9 @@ def cmd_run(args) -> int:
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:  # harness.DivergenceError, or an overflow
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
@@ -406,19 +423,19 @@ def _dat_blocks(path: Path, header: str, blocks: list[list[str]]):
                 fh.write(line + "\n")
 
 
-def _speedup_dat(rows: list[dict], path: Path):
-    order = []
+def _label_blocks(rows: list[dict], line) -> list[list[str]]:
+    """line(row) of every row, one block per label in first-seen order."""
     groups: dict[str, list[str]] = {}
     for row in rows:
-        label = row["label"]
-        if label not in groups:
-            groups[label] = []
-            order.append(label)
+        groups.setdefault(row["label"], []).append(line(row))
+    return list(groups.values())
+
+
+def _speedup_dat(rows: list[dict], path: Path):
+    def line(row):
         n = int(row["n"])
-        groups[label].append(
-            f"{n} {row['speedup']} {row['se_speedup']} {math.sqrt(n)!r}")
-    _dat_blocks(path, "n speedup stderr sqrt_n_reference",
-                [groups[label] for label in order])
+        return f"{n} {row['speedup']} {row['se_speedup']} {math.sqrt(n)!r}"
+    _dat_blocks(path, "n speedup stderr sqrt_n_reference", _label_blocks(rows, line))
 
 
 def _tradeoff_dat(rows: list[dict], path: Path):
@@ -428,15 +445,8 @@ def _tradeoff_dat(rows: list[dict], path: Path):
 
 
 def _convergence_dat(rows: list[dict], path: Path):
-    order = []
-    groups: dict[str, list[str]] = {}
-    for row in rows:
-        label = row["label"]
-        if label not in groups:
-            groups[label] = []
-            order.append(label)
-        groups[label].append(f"{row['t']} {row['mean_r']} {row['se_r']}")
-    _dat_blocks(path, "t mean_r stderr", [groups[label] for label in order])
+    _dat_blocks(path, "t mean_r stderr", _label_blocks(
+        rows, lambda row: f"{row['t']} {row['mean_r']} {row['se_r']}"))
 
 
 def cmd_plotdata(args) -> int:

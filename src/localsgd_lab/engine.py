@@ -2,10 +2,13 @@
 
 Runs n agents for T steps: each step every agent takes a local stochastic
 gradient step, and whenever t+1 is a communication instant tau_i all states
-are replaced by their average. Gradient noise at step t comes from a
-counter-based generator keyed by (seed, t), with agent i reading row i of the
-step's noise block, so trajectories are bit-identical regardless of schedule,
-recording stride, thread count, or execution order.
+are replaced by their average. All seeds of a batch share one state array
+of shape (S, n, d) and advance together, one numpy pass per step. Gradient
+noise at step t comes from a counter-based generator keyed by (seed, t), with
+agent i reading row i of the step's noise block, so a seed's trajectory is
+bit-identical regardless of schedule, recording stride, or which seeds share
+its batch: running the seeds all at once, in chunks, or one at a time writes
+the same bytes.
 
 Recorded series (sampled at t = 0, multiples of record_stride, every
 communication instant, and t = T):
@@ -19,10 +22,8 @@ communication instant, and t = T):
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,7 +130,8 @@ class RunMetrics:
 
     dist_sq and ref_sq are diagnostics for the averaging identity
     (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2 with ref = x* when the
-    family has one, else the origin.
+    family has one, else the origin. wall_time is the wall time of the whole
+    batch that ran this seed, so every seed of one batch reports the same value.
     """
 
     seed: int
@@ -150,7 +152,11 @@ class RunMetrics:
 
 @dataclass(eq=False)
 class AggregateMetrics:
-    """Seed-averaged series; stderr uses ddof=1 (0 when only one seed)."""
+    """Seed-averaged series; stderr uses ddof=1 (0 when only one seed).
+
+    diverged lists the seeds whose final averaged iterate is not finite or
+    whose recorded r, e, V or h overflowed to infinity.
+    """
 
     t: np.ndarray
     is_comm: np.ndarray
@@ -169,18 +175,19 @@ class AggregateMetrics:
     n_seeds: int
     seeds: tuple = field(default_factory=tuple)
     runs: tuple = field(default_factory=tuple)  # per-seed RunMetrics, ascending seed
+    diverged: tuple = field(default_factory=tuple)
 
 
 class _Kahan:
-    """Compensated scalar accumulator."""
+    """Compensated accumulator, one lane per seed."""
 
     __slots__ = ("s", "c")
 
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
+    def __init__(self, lanes: int):
+        self.s = np.zeros(lanes)
+        self.c = np.zeros(lanes)
 
-    def add(self, v: float):
+    def add(self, v: np.ndarray):
         y = v - self.c
         t = self.s + y
         self.c = (t - self.s) - y
@@ -189,6 +196,23 @@ class _Kahan:
 
 def run_local_sgd(problem: Problem, config: RunConfig) -> RunMetrics:
     """Simulate one seeded local SGD run and sample its metrics."""
+    return run_batch(problem, config, [config.seed])[0]
+
+
+def run_batch(problem: Problem, config: RunConfig, seeds) -> list[RunMetrics]:
+    """Run one seed per entry of `seeds` (config.seed is ignored), in input order.
+
+    The seeds share one (S, n, d) state and every step is one numpy pass over
+    all of them; seed s draws its noise only from its own (seed, t) streams, so
+    its metrics are bitwise those of the one-seed batch [s].
+    """
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
+    if min(seeds) < 0:
+        raise ValueError(f"need seeds >= 0, got {min(seeds)}")
     if config.n != problem.n:
         raise ValueError(f"config.n = {config.n} but problem has n = {problem.n}")
     if config.x0.shape != (problem.dim,):
@@ -196,6 +220,7 @@ def run_local_sgd(problem: Problem, config: RunConfig) -> RunMetrics:
     sched = config.schedule
     T = sched.T
     n = problem.n
+    S = len(seeds)
 
     consts = problem.constants()
     x_star = consts.x_star
@@ -209,155 +234,110 @@ def run_local_sgd(problem: Problem, config: RunConfig) -> RunMetrics:
     record_at[:: config.record_stride] = True
     record_at[0] = record_at[T] = True
     record_at |= comm_at
-    n_rec = int(record_at.sum())
+    rec_t = np.flatnonzero(record_at).astype(np.int64)
+    rec_comm = comm_at[rec_t]
+    rec = {k: np.full((S, len(rec_t)), np.nan) for k in ("r", "e", "V", "h", "dist_sq", "ref_sq")}
 
-    rec_t = np.zeros(n_rec, dtype=np.int64)
-    rec = {k: np.full(n_rec, np.nan) for k in ("r", "e", "V", "h", "dist_sq", "ref_sq")}
-    rec_comm = np.zeros(n_rec, dtype=bool)
-
-    X = np.tile(config.x0, (n, 1))
-    noise = _StepNoise(config.seed) if problem.has_gradient_noise else None
+    X = np.tile(config.x0, (S, n, 1))
+    noises = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else None
     grads = problem.stochastic_grads
     eta_at = config.stepsize.at
     value = problem._global_value
     grad = problem._global_grad
 
-    sum_e, sum_h = _Kahan(), _Kahan()
+    sum_e, sum_h = _Kahan(S), _Kahan(S)
     track = config.track_averages
 
     idx = 0
 
-    def record(t: int):
+    def record():
         nonlocal idx
-        xbar = X.mean(axis=0)
-        diff = X - xbar
-        V = float(np.einsum("ij,ij->", diff, diff)) / n
+        xbar = X.mean(axis=1)
+        diff = X - xbar[:, None]
+        rec["V"][:, idx] = np.einsum("sij,sij->s", diff, diff) / n
         dref = X - ref
-        dist_sq = float(np.einsum("ij,ij->", dref, dref)) / n
+        rec["dist_sq"][:, idx] = np.einsum("sij,sij->s", dref, dref) / n
         rv = xbar - ref
-        ref_sq = float(rv @ rv)
+        ref_sq = np.vecdot(rv, rv)
         g = grad(xbar)
-        rec_t[idx] = t
-        rec["V"][idx] = V
-        rec["h"][idx] = float(g @ g)
-        rec["dist_sq"][idx] = dist_sq
-        rec["ref_sq"][idx] = ref_sq
+        rec["h"][:, idx] = np.vecdot(g, g)
+        rec["ref_sq"][:, idx] = ref_sq
         if have_star:
-            rec["r"][idx] = ref_sq
-            rec["e"][idx] = value(xbar) - f_star
-        rec_comm[idx] = bool(comm_at[t])
+            rec["r"][:, idx] = ref_sq
+            rec["e"][:, idx] = value(xbar) - f_star
         idx += 1
 
     wall = time.perf_counter()
-    record(0)
-    for t in range(T):
-        if track:
-            xbar = X.mean(axis=0)
-            g = grad(xbar)
-            sum_h.add(float(g @ g))
-            if have_star:
-                sum_e.add(value(xbar) - f_star)
-        rng = noise.at_step(t) if noise is not None else None
-        G = grads(X, rng)
-        G *= eta_at(t)
-        X -= G
-        if comm_at[t + 1]:
-            X[:] = X.mean(axis=0)
-        if record_at[t + 1]:
-            record(t + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # run_many reports divergence
+        record()
+        for t in range(T):
+            if track:
+                xbar = X.mean(axis=1)
+                g = grad(xbar)
+                sum_h.add(np.vecdot(g, g))
+                if have_star:
+                    sum_e.add(value(xbar) - f_star)
+            gens = [noise.at_step(t) for noise in noises] if noises is not None else None
+            G = grads(X, gens)
+            G *= eta_at(t)
+            X -= G
+            if comm_at[t + 1]:
+                X[:] = X.mean(axis=1, keepdims=True)
+            if record_at[t + 1]:
+                record()
+        final_x_bar = X.mean(axis=1)
     wall = time.perf_counter() - wall
 
-    avg_e = sum_e.s / T if (track and have_star) else math.nan
-    avg_h = sum_h.s / T if track else math.nan
-    return RunMetrics(
-        seed=config.seed,
-        t=rec_t,
-        r=rec["r"],
-        e=rec["e"],
-        V=rec["V"],
-        h=rec["h"],
-        dist_sq=rec["dist_sq"],
-        ref_sq=rec["ref_sq"],
-        is_comm=rec_comm,
-        final_x_bar=X.mean(axis=0),
-        rounds_used=sched.R,
-        avg_e=avg_e,
-        avg_h=avg_h,
-        wall_time=wall,
-    )
-
-
-def _worker_count(max_workers: int | None) -> int:
-    env = os.environ.get("LOCALSGD_THREADS")
-    cap = int(env) if env else None
-    if cap is not None and cap < 1:
-        raise ValueError(f"LOCALSGD_THREADS must be >= 1, got {env!r}")
-    workers = max_workers or cap or min(8, os.cpu_count() or 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, workers)
-
-
-def run_batch(problem: Problem, config: RunConfig, seeds, max_workers: int | None = None) -> list[RunMetrics]:
-    """Run one seed per entry of `seeds`, in input order.
-
-    Seed batches execute on a thread pool (capped by LOCALSGD_THREADS); the
-    per-run trajectories do not depend on the pool size.
-    """
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    problem.constants()  # materialize once, not per thread
-    configs = [replace(config, seed=s) for s in seeds]
-    workers = _worker_count(max_workers)
-    if workers == 1 or len(seeds) == 1:
-        return [run_local_sgd(problem, c) for c in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: run_local_sgd(problem, c), configs))
+    avg_e = (sum_e.s / T).tolist() if (track and have_star) else [math.nan] * S
+    avg_h = (sum_h.s / T).tolist() if track else [math.nan] * S
+    return [
+        RunMetrics(seed=seed, t=rec_t, is_comm=rec_comm, final_x_bar=final_x_bar[s],
+                   rounds_used=sched.R, avg_e=avg_e[s], avg_h=avg_h[s], wall_time=wall,
+                   **{name: series[s] for name, series in rec.items()})
+        for s, seed in enumerate(seeds)
+    ]
 
 
 def _mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and standard errors via compensated summation, (S, K) -> (K,), (K,)."""
+    """Column means and standard errors via compensated summation, (S, K) -> (K,), (K,).
+
+    A column whose exact sums fail (they overflow, or meet both infinities)
+    gets the plain IEEE mean, which is then not finite, and a NaN standard
+    error; every other column keeps the exact math.fsum path.
+    """
     S, K = columns.shape
     mean = np.empty(K)
     se = np.zeros(K)
-    for k in range(K):
-        col = columns[:, k].tolist()
-        mean[k] = math.fsum(col) / S
-        if S > 1:
-            var = math.fsum((v - mean[k]) ** 2 for v in col) / (S - 1)
-            se[k] = math.sqrt(var / S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, col in enumerate(columns.T.tolist()):
+            try:
+                mean[k] = math.fsum(col) / S
+                if S > 1:
+                    var = math.fsum((v - mean[k]) ** 2 for v in col) / (S - 1)
+                    se[k] = math.sqrt(var / S)
+            except (OverflowError, ValueError):
+                mean[k], se[k] = np.sum(col) / S, math.nan
     return mean, se
 
 
-def run_many(problem: Problem, config: RunConfig, seeds, max_workers: int | None = None) -> AggregateMetrics:
+def _diverged(m: RunMetrics) -> bool:
+    return not np.all(np.isfinite(m.final_x_bar)) or any(
+        np.isinf(series).any() for series in (m.r, m.e, m.V, m.h))
+
+
+def run_many(problem: Problem, config: RunConfig, seeds) -> AggregateMetrics:
     """Seed-averaged metrics; reduction happens in ascending-seed order so the
-    result is independent of scheduling and completion order."""
-    runs = run_batch(problem, config, seeds, max_workers)
-    order = np.argsort([m.seed for m in runs], kind="stable")
-    runs = [runs[i] for i in order]
-    base = runs[0]
-    series = {}
+    result is independent of the order and partition of `seeds`."""
+    runs = sorted(run_batch(problem, config, seeds), key=lambda m: m.seed)
+    stats = {}
     for name in ("r", "e", "V", "h"):
-        stacked = np.stack([getattr(m, name) for m in runs])
-        series[name] = _mean_se(stacked)
-    scalars = {}
-    for name in ("avg_e", "avg_h"):
-        col = np.array([[getattr(m, name)] for m in runs])
-        m, s = _mean_se(col)
-        scalars[name] = (float(m[0]), float(s[0]))
+        stats[f"mean_{name}"], stats[f"se_{name}"] = _mean_se(
+            np.stack([getattr(m, name) for m in runs]))
+    means, ses = _mean_se(np.array([[m.avg_e, m.avg_h] for m in runs]))
     return AggregateMetrics(
-        t=base.t.copy(),
-        is_comm=base.is_comm.copy(),
-        mean_r=series["r"][0], se_r=series["r"][1],
-        mean_e=series["e"][0], se_e=series["e"][1],
-        mean_V=series["V"][0], se_V=series["V"][1],
-        mean_h=series["h"][0], se_h=series["h"][1],
-        mean_avg_e=scalars["avg_e"][0], se_avg_e=scalars["avg_e"][1],
-        mean_avg_h=scalars["avg_h"][0], se_avg_h=scalars["avg_h"][1],
-        n_seeds=len(runs),
-        seeds=tuple(m.seed for m in runs),
-        runs=tuple(runs),
+        t=runs[0].t.copy(), is_comm=runs[0].is_comm.copy(), **stats,
+        mean_avg_e=float(means[0]), se_avg_e=float(ses[0]),
+        mean_avg_h=float(means[1]), se_avg_h=float(ses[1]),
+        n_seeds=len(runs), seeds=tuple(m.seed for m in runs), runs=tuple(runs),
+        diverged=tuple(m.seed for m in runs if _diverged(m)),
     )

@@ -44,6 +44,10 @@ from .schedules import (
 )
 
 
+class DivergenceError(ArithmeticError):
+    """A simulated iterate stopped being finite, so the run measures nothing."""
+
+
 class PreconditionError(RuntimeError):
     """An experiment refused to run because a theorem precondition failed."""
 
@@ -197,12 +201,42 @@ class ExperimentSpec:
             raise ValueError(f"measure must be r, e or h, got {self.measure!r}")
 
 
+def _simulate(problem: Problem, sched: Schedule, stepsize, seeds, record_stride: int,
+              track_averages: bool, what: str | None = "schedule") -> AggregateMetrics:
+    """Seed-mean metrics of one schedule run from x0 = 0.
+
+    Raises DivergenceError naming `what` when a seed's iterate stops being
+    finite; with what=None diverged seeds are left in the result.
+    """
+    agg = run_many(problem, RunConfig(
+        n=problem.n, schedule=sched, stepsize=stepsize, x0=np.zeros(problem.dim),
+        seed=0, record_stride=record_stride, track_averages=track_averages,
+    ), seeds)
+    if agg.diverged and what is not None:
+        raise DivergenceError(f"{what}: seeds {list(agg.diverged)} diverged "
+                              f"(non-finite iterate); lower the stepsize")
+    return agg
+
+
+def _stepsize(spec: ExperimentSpec, mu: float, n: int, T: int, c: float | None = None):
+    """The stepsize all cells share at (n, T); c stands in for a swept spec.c."""
+    if spec.stepsize_policy == "inverse-time":
+        if spec.beta in (None, "auto"):
+            raise ValueError(f"{spec.kind} with an inverse-time stepsize needs a numeric beta")
+        return InverseTimeStepsize(mu, float(spec.beta))
+    c = spec.c if c is None else c
+    if isinstance(c, tuple):
+        raise ValueError(f"{spec.kind} sweeps are not supported; pass one c")
+    return ConstantStepsize(float(c), n, T)
+
+
 def _resolve_c(spec: ExperimentSpec, problem_spec: dict, cell: StrategyCell,
-               n: int, T: int, max_workers) -> tuple[float, dict]:
+               n: int, T: int) -> tuple[float, dict]:
     """Pick the best constant-stepsize c from a swept tuple (lowest final error).
 
     The sweep drives the given cell at (n, T) on at most 10 of the spec's
-    seeds; ties go to the smaller c.
+    seeds; ties go to the smaller c, and a c whose error is not finite (its
+    run diverged) ranks last.
     """
     if not isinstance(spec.c, tuple):
         return float(spec.c), {}
@@ -211,13 +245,11 @@ def _resolve_c(spec: ExperimentSpec, problem_spec: dict, cell: StrategyCell,
     for c in spec.c:
         problem = problem_from_spec({**problem_spec, "n": n})
         sched, _ = cell.build(n, T)
-        agg = run_many(problem, RunConfig(
-            n=n, schedule=sched, stepsize=ConstantStepsize(float(c), n, T),
-            x0=np.zeros(problem.dim), seed=0, record_stride=T,
-            track_averages=problem.constants().x_star is None,
-        ), seeds, max_workers)
-        err = agg.mean_avg_h if problem.constants().x_star is None else float(agg.mean_r[-1])
-        scores.append((err, float(c)))
+        use_h = problem.constants().x_star is None
+        agg = _simulate(problem, sched, ConstantStepsize(float(c), n, T), seeds,
+                        record_stride=T, track_averages=use_h, what=None)
+        err = agg.mean_avg_h if use_h else float(agg.mean_r[-1])
+        scores.append((err if math.isfinite(err) else math.inf, float(c)))
     best = min(scores)
     return best[1], {"swept_c": [c for _, c in scores], "chosen_c": best[1],
                      "sweep_errors": [e for e, _ in scores]}
@@ -232,8 +264,7 @@ def _thm1_beta(spec: ExperimentSpec, mu: float, L: float) -> float:
     return float(spec.beta)
 
 
-def run_bounds_experiment(problem: Problem, spec: ExperimentSpec,
-                          max_workers: int | None = None) -> tuple[BoundReport, AggregateMetrics]:
+def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[BoundReport, AggregateMetrics]:
     """Run the schedule and compare the measured LHS with the theorem RHS.
 
     Refuses (PreconditionError) rather than producing a vacuous comparison.
@@ -267,10 +298,8 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec,
                 f"round {bad + 1}: H={sched.H[bad]} exceeds cap {cond.caps[bad]:g}",
             )
         stepsize = InverseTimeStepsize(consts.mu, beta)
-        agg = run_many(problem, RunConfig(
-            n=n, schedule=sched, stepsize=stepsize, x0=x0, seed=0,
-            record_stride=spec.record_stride, track_averages=False,
-        ), spec.seeds, max_workers)
+        agg = _simulate(problem, sched, stepsize, spec.seeds,
+                        record_stride=spec.record_stride, track_averages=False)
         r0 = float(np.sum((x0 - consts.x_star) ** 2))
         rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, T=T, mu=consts.mu,
                        L=consts.L, sigma_bar_sq=consts.sigma_bar_sq)
@@ -291,10 +320,8 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec,
                 "check_thm2_condition",
                 f"max H={cond.max_H} exceeds cap sqrt(T)/(7Lc sqrt(n))={cond.cap:g}",
             )
-        agg = run_many(problem, RunConfig(
-            n=n, schedule=sched, stepsize=stepsize, x0=x0, seed=0,
-            record_stride=1, track_averages=False,
-        ), spec.seeds, max_workers)
+        agg = _simulate(problem, sched, stepsize, spec.seeds,
+                        record_stride=1, track_averages=False)
         r0 = float(np.sum((x0 - consts.x_star) ** 2))
         rhs = thm2_rhs(sched, r0=r0, c=c, n=n, T=T, L=consts.L,
                        sigma_bar_sq=consts.sigma_bar_sq)
@@ -307,10 +334,8 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec,
             "check_thm3_condition",
             f"max H={cond.max_H} exceeds cap sqrt(T)/(7LBc sqrt(n))={cond.cap:g}",
         )
-    agg = run_many(problem, RunConfig(
-        n=n, schedule=sched, stepsize=stepsize, x0=x0, seed=0,
-        record_stride=1, track_averages=False,
-    ), spec.seeds, max_workers)
+    agg = _simulate(problem, sched, stepsize, spec.seeds,
+                    record_stride=1, track_averages=False)
     if consts.f_star is not None:
         e0 = problem.global_value(x0) - consts.f_star
     elif isinstance(problem, SinusoidQuadraticProblem):
@@ -335,8 +360,7 @@ def noise_floor(consts, n: int, t_max: int) -> float:
     return 12.0 * consts.sigma_bar_sq / (n * consts.mu**2 * t_max)
 
 
-def run_rounds_to_target(problem: Problem, spec: ExperimentSpec,
-                         max_workers: int | None = None) -> list[TradeoffRow]:
+def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[TradeoffRow]:
     """Rounds and iterations each strategy needs to push the seed-mean error
     under the threshold; crossings count only at t=0 and communication instants."""
     if not spec.cells:
@@ -356,23 +380,13 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec,
     else:
         raise ValueError("rounds-to-target needs threshold or threshold_auto_factor")
 
-    if spec.stepsize_policy == "inverse-time":
-        if spec.beta == "auto":
-            raise ValueError('rounds-to-target needs a numeric beta (shared across strategies)')
-        stepsize = InverseTimeStepsize(consts.mu, float(spec.beta))
-    else:
-        if isinstance(spec.c, tuple):
-            raise ValueError("rounds-to-target sweeps are not supported; pass one c")
-        stepsize = ConstantStepsize(float(spec.c), problem.n, spec.t_max)
+    stepsize = _stepsize(spec, consts.mu, problem.n, spec.t_max)
 
     rows = []
     for cell in spec.cells:
         sched, _ = cell.build(problem.n, spec.t_max)
-        agg = run_many(problem, RunConfig(
-            n=problem.n, schedule=sched, stepsize=stepsize,
-            x0=np.zeros(problem.dim), seed=0, record_stride=spec.t_max,
-            track_averages=False,
-        ), spec.seeds, max_workers)
+        agg = _simulate(problem, sched, stepsize, spec.seeds, record_stride=spec.t_max,
+                        track_averages=False, what=f"cell {cell.label}")
         series = _measure_series(agg, spec.measure)
         eligible = np.zeros(len(agg.t), dtype=bool)
         eligible[0] = True
@@ -387,8 +401,7 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec,
     return rows
 
 
-def run_speedup_experiment(spec: ExperimentSpec,
-                           max_workers: int | None = None) -> list[SpeedupRow]:
+def run_speedup_experiment(spec: ExperimentSpec) -> list[SpeedupRow]:
     """Error vs n at fixed T, normalized by the n=1 single-worker run.
 
     The problem is rebuilt from its generator spec at every n. Families with a
@@ -408,8 +421,7 @@ def run_speedup_experiment(spec: ExperimentSpec,
         sweep_note: dict = {}
         c_value: float | None = None
         if spec.stepsize_policy == "constant":
-            c_value, sweep_note = _resolve_c(spec, spec.problem, cell,
-                                             max(spec.n_list), T, max_workers)
+            c_value, sweep_note = _resolve_c(spec, spec.problem, cell, max(spec.n_list), T)
             if sweep_note:
                 spec.notes.setdefault("sweeps", {})[cell.label] = sweep_note
         base_mean = base_se = None
@@ -418,16 +430,9 @@ def run_speedup_experiment(spec: ExperimentSpec,
             consts = problem.constants()
             use_r = consts.x_star is not None
             sched, clamped = cell.build(n, T)
-            if spec.stepsize_policy == "constant":
-                stepsize = ConstantStepsize(c_value, n, T)
-            else:
-                if spec.beta in (None, "auto"):
-                    raise ValueError("speedup with inverse-time stepsize needs numeric beta")
-                stepsize = InverseTimeStepsize(consts.mu, float(spec.beta))
-            agg = run_many(problem, RunConfig(
-                n=n, schedule=sched, stepsize=stepsize, x0=np.zeros(problem.dim),
-                seed=0, record_stride=T, track_averages=not use_r,
-            ), spec.seeds, max_workers)
+            stepsize = _stepsize(spec, consts.mu, n, T, c_value)
+            agg = _simulate(problem, sched, stepsize, spec.seeds, record_stride=T,
+                            track_averages=not use_r, what=f"cell {cell.label} at n={n}")
             if use_r:
                 mean_err, se_err = float(agg.mean_r[-1]), float(agg.se_r[-1])
             else:
@@ -449,27 +454,18 @@ def run_speedup_experiment(spec: ExperimentSpec,
     return rows
 
 
-def run_strategy_compare(problem: Problem, spec: ExperimentSpec,
-                         max_workers: int | None = None) -> dict[str, AggregateMetrics]:
+def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, AggregateMetrics]:
     """One aggregate series per labeled schedule, shared stepsize and seeds."""
     if not spec.cells:
         raise ValueError("strategy-compare needs at least one cell")
     if spec.T is None or spec.T < 1:
         raise ValueError("strategy-compare needs T >= 1")
     consts = problem.constants()
-    if spec.stepsize_policy == "inverse-time":
-        if spec.beta == "auto":
-            raise ValueError("strategy-compare needs a numeric beta")
-        stepsize = InverseTimeStepsize(consts.mu, float(spec.beta))
-    else:
-        if isinstance(spec.c, tuple):
-            raise ValueError("strategy-compare sweeps are not supported; pass one c")
-        stepsize = ConstantStepsize(float(spec.c), problem.n, spec.T)
+    stepsize = _stepsize(spec, consts.mu, problem.n, spec.T)
     out: dict[str, AggregateMetrics] = {}
     for cell in spec.cells:
         sched, _ = cell.build(problem.n, spec.T)
-        out[cell.label] = run_many(problem, RunConfig(
-            n=problem.n, schedule=sched, stepsize=stepsize,
-            x0=np.zeros(problem.dim), seed=0, record_stride=spec.record_stride,
-        ), spec.seeds, max_workers)
+        out[cell.label] = _simulate(problem, sched, stepsize, spec.seeds,
+                                    record_stride=spec.record_stride, track_averages=True,
+                                    what=f"cell {cell.label}")
     return out

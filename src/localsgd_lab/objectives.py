@@ -2,9 +2,9 @@
 
 Each problem is a collection of n agent objectives f_i over a shared variable,
 f(x) = (1/n) sum_i f_i(x). Problems expose per-agent oracles (value, full
-gradient, one-draw stochastic gradient), their global averages, vectorized
-batch versions for the simulation engine, and certified constants with
-provenance tags:
+gradient, one-draw stochastic gradient), their global averages, versions
+batched over seeds for the simulation engine (a leading seed axis, one noise
+generator per seed), and certified constants with provenance tags:
 
   L            smoothness of every f_i
   mu           strong convexity of every f_i (0 when only convex)
@@ -59,6 +59,14 @@ class ProblemConstants:
             raise ValueError("sigma_bar_sq must be nonnegative")
 
 
+def _standard_normals(gens, shape) -> np.ndarray:
+    """(S, n, dim) block whose slice s holds the next n * dim normals of gens[s]."""
+    Z = np.empty(shape)
+    for gen, z in zip(gens, Z):
+        gen.standard_normal(out=z)
+    return Z
+
+
 class Problem:
     """Common validation and the oracle interface all families implement."""
 
@@ -95,7 +103,7 @@ class Problem:
         return self._local_stochastic_grad(self._check_agent(i), self._check_x(x), rng)
 
     def global_value(self, x) -> float:
-        return self._global_value(self._check_x(x))
+        return float(self._global_value(self._check_x(x)))
 
     def global_grad(self, x) -> Vector:
         return self._global_grad(self._check_x(x))
@@ -155,8 +163,8 @@ class DiagonalQuadraticProblem(Problem):
         return g
 
     def _global_value(self, x):
-        diff = x - self.c
-        return 0.5 * float(np.mean(np.sum(self.q * diff * diff, axis=1)))
+        diff = x[..., None, :] - self.c
+        return 0.5 * np.mean(np.sum(self.q * diff * diff, axis=-1), axis=-1)
 
     def _global_grad(self, x):
         return self._qbar * x - self._m
@@ -164,15 +172,15 @@ class DiagonalQuadraticProblem(Problem):
     def full_grads(self, X) -> Vector:
         return self.q * (X - self.c)
 
-    def stochastic_grads(self, X, rng) -> Vector:
+    def stochastic_grads(self, X, gens) -> Vector:
         G = self.q * (X - self.c)
         if self.has_gradient_noise:
-            G += self._noise_scale * rng.standard_normal((self.n, self.dim))
+            G += self._noise_scale * _standard_normals(gens, X.shape)
         return G
 
     def _constants(self):
         x_star = self._m / self._qbar
-        f_star = self._global_value(x_star)
+        f_star = float(self._global_value(x_star))
         station = self.q * (x_star - self.c)
         sigma_bar_sq = float(np.mean(np.sum(station * station, axis=1))) + self.sigma_noise**2
         G, B = self._bgd_certificate(x_star)
@@ -252,9 +260,9 @@ class SinusoidQuadraticProblem(Problem):
         return g
 
     def _global_value(self, x):
-        diff = x - self.c
-        quad = 0.5 * float(np.mean(np.sum(self.Q * diff * diff, axis=1)))
-        return quad + self.eps_sin * float(np.sum(np.sin(x)))
+        diff = x[..., None, :] - self.c
+        quad = 0.5 * np.mean(np.sum(self.Q * diff * diff, axis=-1), axis=-1)
+        return quad + self.eps_sin * np.sum(np.sin(x), axis=-1)
 
     def _global_grad(self, x):
         return self.Q * (x - self._cbar) + self.eps_sin * np.cos(x)
@@ -262,10 +270,10 @@ class SinusoidQuadraticProblem(Problem):
     def full_grads(self, X) -> Vector:
         return self.Q * (X - self.c) + self.eps_sin * np.cos(X)
 
-    def stochastic_grads(self, X, rng) -> Vector:
+    def stochastic_grads(self, X, gens) -> Vector:
         G = self.Q * (X - self.c) + self.eps_sin * np.cos(X)
         if self.has_gradient_noise:
-            G += self._noise_scale * rng.standard_normal((self.n, self.dim))
+            G += self._noise_scale * _standard_normals(gens, X.shape)
         return G
 
     def value_lower_bound(self) -> float:
@@ -334,7 +342,6 @@ class LogisticProblem(Problem):
                 raise ValueError(f"agent {i}: bad feature/label block")
             self.feats[i, : len(y)] = A
             self.labels[i, : len(y)] = y
-        self._mask = np.arange(m_max)[None, :] < self.counts[:, None]
 
     @staticmethod
     def _softmax(z):
@@ -342,27 +349,25 @@ class LogisticProblem(Problem):
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def _agent_ce_terms(self, i, W):
-        A = self.feats[i, : self.counts[i]]
+    def _local_value(self, i, x):
         y = self.labels[i, : self.counts[i]]
-        z = A @ W.T
+        z = self.feats[i, : self.counts[i]] @ x.reshape(self.K, self.d).T
         z = z - z.max(axis=1, keepdims=True)
         logZ = np.log(np.exp(z).sum(axis=1))
-        return z, logZ, A, y
-
-    def _local_value(self, i, x):
-        W = x.reshape(self.K, self.d)
-        z, logZ, A, y = self._agent_ce_terms(i, W)
         ce = float(np.mean(logZ - z[np.arange(len(y)), y]))
         return ce + 0.5 * self.lam * float(x @ x)
 
-    def _local_full_grad(self, i, x):
-        W = x.reshape(self.K, self.d)
+    def _residuals(self, i, x):
+        """Agent i's samples A and softmax(A W') minus the one-hot labels."""
         A = self.feats[i, : self.counts[i]]
         y = self.labels[i, : self.counts[i]]
-        P = self._softmax(A @ W.T)
+        P = self._softmax(A @ x.reshape(self.K, self.d).T)
         P[np.arange(len(y)), y] -= 1.0
-        return (P.T @ A).ravel() / len(y) + self.lam * x
+        return A, P
+
+    def _local_full_grad(self, i, x):
+        A, P = self._residuals(i, x)
+        return (P.T @ A).ravel() / len(A) + self.lam * x
 
     def _local_stochastic_grad(self, i, x, rng):
         j = int(rng.integers(self.counts[i]))
@@ -373,9 +378,13 @@ class LogisticProblem(Problem):
         return np.outer(p, a).ravel() + self.lam * x
 
     def _global_value(self, x):
+        if x.ndim == 2:
+            return np.array([self._global_value(row) for row in x])
         return float(np.mean([self._local_value(i, x) for i in range(self.n)]))
 
     def _global_grad(self, x):
+        if x.ndim == 2:
+            return np.stack([self._global_grad(row) for row in x])
         g = np.zeros(self.dim)
         for i in range(self.n):
             g += self._local_full_grad(i, x)
@@ -384,14 +393,16 @@ class LogisticProblem(Problem):
     def full_grads(self, X) -> Vector:
         return np.stack([self._local_full_grad(i, X[i]) for i in range(self.n)])
 
-    def stochastic_grads(self, X, rng) -> Vector:
-        idx = rng.integers(0, self.counts)
-        W = X.reshape(self.n, self.K, self.d)
-        a = self.feats[np.arange(self.n), idx]
-        z = np.einsum("nkd,nd->nk", W, a)
+    def stochastic_grads(self, X, gens) -> Vector:
+        S = X.shape[0]
+        agents = np.arange(self.n)
+        idx = np.stack([gen.integers(0, self.counts) for gen in gens])
+        W = X.reshape(S, self.n, self.K, self.d)
+        a = self.feats[agents, idx]
+        z = np.einsum("snkd,snd->snk", W, a)
         P = self._softmax(z)
-        P[np.arange(self.n), self.labels[np.arange(self.n), idx]] -= 1.0
-        return (P[:, :, None] * a[:, None, :]).reshape(self.n, self.dim) + self.lam * X
+        P[np.arange(S)[:, None], agents, self.labels[agents, idx]] -= 1.0
+        return (P[..., None] * a[..., None, :]).reshape(X.shape) + self.lam * X
 
     def _constants(self):
         second_moments = [
@@ -455,15 +466,11 @@ class LogisticProblem(Problem):
 
     def _mean_sq_sample_grad(self, x):
         """(1/n) sum_i (1/m_i) sum_j ||grad per-sample f at x||^2, exact."""
-        W = x.reshape(self.K, self.d)
         total = 0.0
         for i in range(self.n):
-            A = self.feats[i, : self.counts[i]]
-            y = self.labels[i, : self.counts[i]]
-            P = self._softmax(A @ W.T)
-            P[np.arange(len(y)), y] -= 1.0
+            A, P = self._residuals(i, x)
             per_sample = P[:, :, None] * A[:, None, :]
-            per_sample = per_sample.reshape(len(y), self.dim) + self.lam * x
+            per_sample = per_sample.reshape(len(A), self.dim) + self.lam * x
             total += float(np.mean(np.sum(per_sample**2, axis=1)))
         return total / self.n
 

@@ -355,7 +355,7 @@ def test_ac9_per_step_recursions_within_monte_carlo_slack():
              f"{max(details):.3g}, {time.time() - t0:.0f}s)")
 
 
-def test_ac10_determinism_across_thread_counts(tmp_path, monkeypatch):
+def test_ac10_determinism_across_seed_partitions(tmp_path, partition_seeds):
     t0 = time.time()
     cfg = {
         "experiment": {"kind": "bounds", "theorem": 1, "record_stride": 100},
@@ -367,12 +367,15 @@ def test_ac10_determinism_across_thread_counts(tmp_path, monkeypatch):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    blobs = []
-    for threads, out in (("1", "one"), ("4", "four")):
-        monkeypatch.setenv("LOCALSGD_THREADS", threads)
+    blobs, batches = [], []
+    for chunk, out in ((None, "whole"), (64, "chunks"), (1, "single")):
+        sizes = partition_seeds(chunk) if chunk else []
         assert cli.main(["run", str(path), "--out", str(tmp_path / out)]) == 0
         blobs.append((tmp_path / out / "metrics.csv").read_bytes())
-    ok = blobs[0] == blobs[1] and len(blobs[0]) > 0
+        batches.append(len(sizes) or 1)
+    ok = (blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 0
+          and batches == [1, 4, 200])
     _verdict("AC10", ok,
-             f"metrics.csv byte-identical across LOCALSGD_THREADS=1 and =4 "
-             f"({len(blobs[0])} bytes, {time.time() - t0:.0f}s)")
+             f"metrics.csv byte-identical with the 200 seeds simulated in "
+             f"batches of 200, 64 and 1 ({len(blobs[0])} bytes, "
+             f"{time.time() - t0:.0f}s)")

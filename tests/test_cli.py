@@ -147,15 +147,34 @@ def test_run_exit2_on_schema_violation(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
-def test_run_byte_identical_across_thread_counts(tmp_path, monkeypatch, capsys):
-    cfg_path = write_cfg(tmp_path, bounds_cfg(tmp_path / "a"))
-    monkeypatch.setenv("LOCALSGD_THREADS", "1")
-    assert main(["run", cfg_path, "--out", str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("LOCALSGD_THREADS", "4")
-    assert main(["run", cfg_path, "--out", str(tmp_path / "b")]) == 0
-    a = (tmp_path / "a" / "metrics.csv").read_bytes()
-    b = (tmp_path / "b" / "metrics.csv").read_bytes()
-    assert a == b
+def test_run_byte_identical_across_seed_partitions(tmp_path, partition_seeds, capsys):
+    # all 4 seeds in one batch, in chunks of 3, and one at a time
+    cfg_path = write_cfg(tmp_path, bounds_cfg(tmp_path / "whole"))
+    assert main(["run", cfg_path, "--out", str(tmp_path / "whole")]) == 0
+    for k, sizes_expected in ((3, [3, 1]), (1, [1, 1, 1, 1])):
+        sizes = partition_seeds(k)
+        assert main(["run", cfg_path, "--out", str(tmp_path / f"chunk{k}")]) == 0
+        assert sizes == sizes_expected
+        for name in ("metrics.csv", "bounds.csv"):
+            a = (tmp_path / "whole" / name).read_bytes()
+            assert (tmp_path / f"chunk{k}" / name).read_bytes() == a
+
+
+def test_run_exit4_on_divergence(tmp_path, capsys):
+    cfg = {
+        "experiment": {"kind": "strategy-compare", "T": 2000, "record_stride": 500,
+                       "cells": [{"label": "wide", "kind": "fixed-width", "H": 5}]},
+        "problem": {"family": "strongly-convex-quadratic", "n": 4, "d": 5,
+                    "mu": 0.1, "L": 1.0, "delta": 1.0, "sigma_noise": 1.0,
+                    "seed": 0},
+        "stepsize": {"policy": "constant", "c": 50.0},
+        "seeds": [0, 1, 2],
+        "output": str(tmp_path / "res"),
+    }
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: cell wide: seeds [0, 1, 2] diverged")
+    assert "Traceback" not in err
 
 
 def test_run_seed_offset(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsgd_lab.engine import (
     ConstantStepsize,
@@ -14,11 +17,17 @@ from localsgd_lab.engine import (
 )
 from localsgd_lab.objectives import (
     DiagonalQuadraticProblem,
+    make_convex_quadratics,
     make_logistic_family,
     make_nonconvex_family,
     make_strongly_convex_quadratics,
 )
-from localsgd_lab.schedules import Schedule, fixed_schedule, increasing_power_schedule
+from localsgd_lab.schedules import (
+    Schedule,
+    fixed_schedule,
+    fixed_width_schedule,
+    increasing_power_schedule,
+)
 
 
 def scalar_problem():
@@ -179,20 +188,32 @@ def test_logistic_runs_deterministically():
     assert np.all(np.isfinite(a.r))
 
 
-def test_run_batch_thread_independence(monkeypatch):
+RUN_FIELDS = ("t", "r", "e", "V", "h", "dist_sq", "ref_sq", "is_comm", "final_x_bar")
+
+
+def assert_runs_bitwise_equal(a, b):
+    assert a.seed == b.seed and a.rounds_used == b.rounds_used
+    for name in RUN_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    for name in ("avg_e", "avg_h"):
+        assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes(), name
+
+
+def test_run_batch_partition_invariance():
+    # all seeds at once, in chunks, one at a time, and in another order
     p = noisy_problem()
     config = cfg(p, fixed_schedule(30, 5), InverseTimeStepsize(0.2, 30.0))
     seeds = list(range(8))
-    seq = run_batch(p, config, seeds, max_workers=1)
-    par = run_batch(p, config, seeds, max_workers=4)
-    monkeypatch.setenv("LOCALSGD_THREADS", "3")
-    capped = run_batch(p, config, seeds)
-    for a, b in zip(seq, par):
-        np.testing.assert_array_equal(a.r, b.r)
-        np.testing.assert_array_equal(a.final_x_bar, b.final_x_bar)
-    for a, b in zip(seq, capped):
-        np.testing.assert_array_equal(a.r, b.r)
-    assert [m.seed for m in par] == seeds
+    whole = run_batch(p, config, seeds)
+    assert [m.seed for m in whole] == seeds
+    chunks = [m for i in range(0, 8, 3) for m in run_batch(p, config, seeds[i:i + 3])]
+    single = [run_local_sgd(p, replace(config, seed=s)) for s in seeds]
+    backwards = run_batch(p, config, seeds[::-1])[::-1]
+    for part in (chunks, single, backwards):
+        assert len(part) == len(whole)
+        for a, b in zip(whole, part):
+            assert_runs_bitwise_equal(a, b)
 
 
 def test_run_many_aggregation_is_seed_order_invariant():
@@ -229,3 +250,60 @@ def test_run_validation_errors():
         run_batch(p, cfg(p, sched, ConstantStepsize(0.1, p.n, 10)), [1, 1])
     with pytest.raises(ValueError, match="seed"):
         run_batch(p, cfg(p, sched, ConstantStepsize(0.1, p.n, 10)), [])
+
+
+def test_diverging_run_aggregates_to_non_finite_means():
+    # c = 50 grows the iterate until r overflows, so fsum cannot sum those columns
+    p = make_strongly_convex_quadratics(n=4, d=5, mu=0.1, L=1.0, delta=1.0,
+                                        sigma_noise=1.0, seed=0)
+    config = cfg(p, fixed_width_schedule(5, 2000), ConstantStepsize(50.0, 4, 2000))
+    agg = run_many(p, config, [0, 1, 2])
+    assert agg.diverged == (0, 1, 2)
+    assert not np.all(np.isfinite(agg.mean_r))
+    assert np.isfinite(agg.mean_r[0]) and agg.se_r[0] == 0.0  # all seeds start at x0
+    # columns every seed can still sum exactly keep the fsum path
+    finite = np.all(np.isfinite(np.stack([m.r for m in agg.runs])), axis=0)
+    finite &= np.isfinite(agg.mean_r)
+    k = np.flatnonzero(finite)[-1]
+    assert agg.mean_r[k] == math.fsum(m.r[k] for m in agg.runs) / 3
+    healthy = run_many(p, cfg(p, fixed_width_schedule(5, 2000), ConstantStepsize(0.5, 4, 2000)),
+                       [0, 1, 2])
+    assert healthy.diverged == ()
+
+
+def _family(name, n, d, seed):
+    if name == "strongly-convex-quadratic":
+        return make_strongly_convex_quadratics(n=n, d=d, mu=0.2, L=1.0, delta=1.0,
+                                               sigma_noise=0.7, seed=seed)
+    if name == "convex-quadratic":
+        return make_convex_quadratics(n=n, d=d, L=1.0, eps_pd=0.01, delta=1.0,
+                                      sigma_noise=0.7, seed=seed)
+    if name == "nonconvex":
+        return make_nonconvex_family(n=n, d=d, Q_diag=np.linspace(0.2, 1.0, d), delta=1.0,
+                                     eps_sin=0.3, sigma_noise=0.7, seed=seed)
+    return make_logistic_family(n=n, d=d, K=3, m=6, shards_per_agent=2, lam=0.2, seed=seed)
+
+
+@st.composite
+def batch_cases(draw):
+    family = draw(st.sampled_from(["strongly-convex-quadratic", "convex-quadratic",
+                                   "nonconvex", "logistic"]))
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(2, 5))
+    H = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    stride = draw(st.integers(1, sum(H) + 1))
+    track = draw(st.booleans())
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=5, unique=True))
+    return family, n, d, Schedule(tuple(H)), stride, track, seeds
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch_cases(), st.integers(0, 50))
+def test_batch_equals_one_seed_runs(case, problem_seed):
+    family, n, d, sched, stride, track, seeds = case
+    p = _family(family, n, d, problem_seed)
+    config = cfg(p, sched, ConstantStepsize(0.5, n, sched.T),
+                 record_stride=stride, track_averages=track)
+    batch = run_batch(p, config, seeds)
+    for m in batch:
+        assert_runs_bitwise_equal(m, run_local_sgd(p, replace(config, seed=m.seed)))

@@ -8,6 +8,7 @@ import pytest
 from localsgd_lab.bounds import thm1_rhs
 from localsgd_lab.engine import InverseTimeStepsize, RunConfig, run_many
 from localsgd_lab.harness import (
+    DivergenceError,
     ExperimentSpec,
     PreconditionError,
     RRule,
@@ -361,6 +362,21 @@ def test_speedup_c_sweep_picks_lowest_error():
     errs = dict(zip(note["swept_c"], note["sweep_errors"]))
     assert note["chosen_c"] == min(errs, key=lambda c: (errs[c], c))
     assert len(rows) == 2
+
+
+def test_sweep_ranks_diverged_c_last_and_runs_raise_on_divergence():
+    spec = ExperimentSpec(
+        kind="speedup", problem=SC_SPEC, seeds=tuple(range(3)),
+        stepsize_policy="constant", c=(500.0, 0.3), n_list=(1, 2), T=200,
+        cells=(StrategyCell(label="f", kind="fixed", R=20),))
+    run_speedup_experiment(spec)
+    note = spec.notes["sweeps"]["f"]
+    assert note["chosen_c"] == 0.3
+    assert dict(zip(note["swept_c"], note["sweep_errors"]))[500.0] == math.inf
+    with pytest.raises(DivergenceError, match=r"cell f: seeds \[0, 1, 2\] diverged"):
+        run_strategy_compare(sc_problem(), ExperimentSpec(
+            kind="strategy-compare", problem={}, seeds=(0, 1, 2), c=500.0, T=200,
+            cells=(StrategyCell(label="f", kind="fixed", R=20),)))
 
 
 def test_strategy_compare_shares_stepsize_and_seeds():
