@@ -323,13 +323,21 @@ def _write_meta(outdir: Path, cfg: dict, spec: ExperimentSpec, extra: dict):
 
 
 def cmd_run(args) -> int:
+    """Exit 2 for a config that cannot be loaded or built, or that the harness
+    rejects with ValueError; a KeyError or TypeError raised past construction
+    is a bug and propagates with its traceback."""
     try:
         cfg = load_config(args.config)
         spec = spec_from_config(cfg, args.seed_offset)
+        # speedup builds one problem per n itself
+        problem = None if spec.kind == "speedup" else problem_from_spec(cfg["problem"])
+    except (ConfigError, ValueError, TypeError, KeyError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
+    try:
         outdir = Path(args.out or cfg.get("output") or "results")
         outdir.mkdir(parents=True, exist_ok=True)
         if spec.kind == "bounds":
-            problem = problem_from_spec(cfg["problem"])
             rep, agg = run_bounds_experiment(problem, spec)
             write_metrics_csv(outdir / "metrics.csv", agg)
             write_bounds_csv(outdir / "bounds.csv", rep)
@@ -340,7 +348,6 @@ def cmd_run(args) -> int:
                 "bound_total": rep.total,
             })
         elif spec.kind == "rounds-to-target":
-            problem = problem_from_spec(cfg["problem"])
             rows = run_rounds_to_target(problem, spec)
             write_tradeoff_csv(outdir / "tradeoff.csv", rows)
             _write_meta(outdir, cfg, spec, {
@@ -352,7 +359,6 @@ def cmd_run(args) -> int:
             write_speedup_csv(outdir / "speedup.csv", rows)
             _write_meta(outdir, cfg, spec, {"notes": spec.notes})
         else:
-            problem = problem_from_spec(cfg["problem"])
             by_label = run_strategy_compare(problem, spec)
             write_convergence_csv(outdir / "convergence.csv", by_label)
             for label, agg in by_label.items():
@@ -366,7 +372,7 @@ def cmd_run(args) -> int:
     except ArithmeticError as exc:  # harness.DivergenceError, or an overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     print(f"wrote results to {outdir}")

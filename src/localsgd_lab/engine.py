@@ -11,7 +11,12 @@ its batch: running the seeds all at once, in chunks, or one at a time writes
 the same bytes.
 
 Recorded series (sampled at t = 0, multiples of record_stride, every
-communication instant, and t = T):
+communication instant, and t = T). A record point only copies the (S, n, d)
+state into a snapshot buffer of about 64 KiB; when the buffer fills, and once
+after the last step, the series of every buffered snapshot are computed in one
+batched pass, with the same formulas as a per-snapshot evaluation and so with
+the same bits. V is computed from the full state: after averaging it is
+rounding residue, not exactly 0.
 
   r_t  = ||xbar_t - x*||^2          (NaN when the family has no x*)
   e_t  = f(xbar_t) - f*             (NaN likewise)
@@ -29,6 +34,9 @@ import numpy as np
 
 from .objectives import Problem
 from .schedules import Schedule
+
+_SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
+_MEAN_SE_COLUMNS = 1024  # columns per _mean_se pass; bounds its lists of Python floats
 
 
 @dataclass(frozen=True)
@@ -220,6 +228,7 @@ def run_batch(problem: Problem, config: RunConfig, seeds) -> list[RunMetrics]:
     sched = config.schedule
     T = sched.T
     n = problem.n
+    d = problem.dim
     S = len(seeds)
 
     consts = problem.constants()
@@ -248,24 +257,37 @@ def run_batch(problem: Problem, config: RunConfig, seeds) -> list[RunMetrics]:
     sum_e, sum_h = _Kahan(S), _Kahan(S)
     track = config.track_averages
 
-    idx = 0
+    snaps = np.empty((max(1, _SNAPSHOT_BYTES // X.nbytes), *X.shape))
+    done = held = 0  # record points flushed, snapshots waiting
 
     def record():
-        nonlocal idx
-        xbar = X.mean(axis=1)
-        diff = X - xbar[:, None]
-        rec["V"][:, idx] = np.einsum("sij,sij->s", diff, diff) / n
-        dref = X - ref
-        rec["dist_sq"][:, idx] = np.einsum("sij,sij->s", dref, dref) / n
+        nonlocal held
+        snaps[held] = X
+        held += 1
+        if held == len(snaps):
+            flush()
+
+    def flush():
+        """Series of the held snapshots, k of them at once: (k, S, ...) -> columns."""
+        nonlocal done, held
+        Xs = snaps[:held]
+        cols = slice(done, done + held)
+        xbar = Xs.mean(axis=2)
+        diff = Xs - xbar[:, :, None]
+        rec["V"][:, cols] = (np.einsum("ksij,ksij->ks", diff, diff) / n).T
+        dref = Xs - ref
+        rec["dist_sq"][:, cols] = (np.einsum("ksij,ksij->ks", dref, dref) / n).T
         rv = xbar - ref
-        ref_sq = np.vecdot(rv, rv)
-        g = grad(xbar)
-        rec["h"][:, idx] = np.vecdot(g, g)
-        rec["ref_sq"][:, idx] = ref_sq
+        ref_sq = np.vecdot(rv, rv).T
+        rows = xbar.reshape(-1, d)
+        g = grad(rows)
+        rec["h"][:, cols] = np.vecdot(g, g).reshape(held, S).T
+        rec["ref_sq"][:, cols] = ref_sq
         if have_star:
-            rec["r"][:, idx] = ref_sq
-            rec["e"][:, idx] = value(xbar) - f_star
-        idx += 1
+            rec["r"][:, cols] = ref_sq
+            rec["e"][:, cols] = (value(rows) - f_star).reshape(held, S).T
+        done += held
+        held = 0
 
     wall = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # run_many reports divergence
@@ -285,6 +307,8 @@ def run_batch(problem: Problem, config: RunConfig, seeds) -> list[RunMetrics]:
                 X[:] = X.mean(axis=1, keepdims=True)
             if record_at[t + 1]:
                 record()
+        if held:
+            flush()
         final_x_bar = X.mean(axis=1)
     wall = time.perf_counter() - wall
 
@@ -308,15 +332,26 @@ def _mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S, K = columns.shape
     mean = np.empty(K)
     se = np.zeros(K)
+    failed = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, col in enumerate(columns.T.tolist()):
-            try:
-                mean[k] = math.fsum(col) / S
-                if S > 1:
-                    var = math.fsum((v - mean[k]) ** 2 for v in col) / (S - 1)
-                    se[k] = math.sqrt(var / S)
-            except (OverflowError, ValueError):
-                mean[k], se[k] = np.sum(col) / S, math.nan
+        for lo in range(0, K, _MEAN_SE_COLUMNS):
+            block = columns[:, lo:lo + _MEAN_SE_COLUMNS]
+            for k, col in enumerate(block.T.tolist(), lo):
+                try:
+                    mean[k] = math.fsum(col) / S
+                except (OverflowError, ValueError):
+                    mean[k] = math.nan
+                    failed.append(k)
+            if S > 1:
+                dev = block - mean[lo:lo + _MEAN_SE_COLUMNS]
+                np.float_power(dev, 2, out=dev)  # libm pow, as a float64 ** 2; not dev * dev
+                for k, col in enumerate(dev.T.tolist(), lo):
+                    try:
+                        se[k] = math.sqrt(math.fsum(col) / (S - 1) / S)
+                    except (OverflowError, ValueError):
+                        failed.append(k)
+        for k in failed:
+            mean[k], se[k] = np.sum(columns[:, k]) / S, math.nan
     return mean, se
 
 

@@ -230,22 +230,22 @@ def _stepsize(spec: ExperimentSpec, mu: float, n: int, T: int, c: float | None =
     return ConstantStepsize(float(c), n, T)
 
 
-def _resolve_c(spec: ExperimentSpec, problem_spec: dict, cell: StrategyCell,
-               n: int, T: int) -> tuple[float, dict]:
+def _resolve_c(spec: ExperimentSpec, problem: Problem, cell: StrategyCell,
+               T: int) -> tuple[float, dict]:
     """Pick the best constant-stepsize c from a swept tuple (lowest final error).
 
-    The sweep drives the given cell at (n, T) on at most 10 of the spec's
-    seeds; ties go to the smaller c, and a c whose error is not finite (its
-    run diverged) ranks last.
+    The sweep drives the given cell on `problem` at horizon T on at most 10 of
+    the spec's seeds; ties go to the smaller c, and a c whose error is not
+    finite (its run diverged) ranks last.
     """
     if not isinstance(spec.c, tuple):
         return float(spec.c), {}
+    n = problem.n
     seeds = spec.seeds[: min(10, len(spec.seeds))]
+    sched, _ = cell.build(n, T)
+    use_h = problem.constants().x_star is None
     scores = []
     for c in spec.c:
-        problem = problem_from_spec({**problem_spec, "n": n})
-        sched, _ = cell.build(n, T)
-        use_h = problem.constants().x_star is None
         agg = _simulate(problem, sched, ConstantStepsize(float(c), n, T), seeds,
                         record_stride=T, track_averages=use_h, what=None)
         err = agg.mean_avg_h if use_h else float(agg.mean_r[-1])
@@ -273,6 +273,8 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
     """
     if spec.theorem not in (1, 2, 3):
         raise ValueError(f"theorem must be 1, 2 or 3, got {spec.theorem}")
+    if spec.schedule_spec is None:
+        raise ValueError("a bounds experiment needs a schedule block")
     consts = problem.constants()
     sched = schedule_from_spec(spec.schedule_spec)
     T = sched.T
@@ -404,9 +406,10 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
 def run_speedup_experiment(spec: ExperimentSpec) -> list[SpeedupRow]:
     """Error vs n at fixed T, normalized by the n=1 single-worker run.
 
-    The problem is rebuilt from its generator spec at every n. Families with a
-    minimizer are scored by seed-mean r_T, the nonconvex family by the
-    time-averaged squared gradient norm.
+    The problem is rebuilt from its generator spec once per n and shared by
+    every cell and the c-sweep. Families with a minimizer are scored by
+    seed-mean r_T, the nonconvex family by the time-averaged squared gradient
+    norm.
     """
     if not spec.cells:
         raise ValueError("speedup needs at least one strategy cell")
@@ -415,18 +418,18 @@ def run_speedup_experiment(spec: ExperimentSpec) -> list[SpeedupRow]:
     if spec.T is None or spec.T < 1:
         raise ValueError("speedup needs T >= 1")
     T = spec.T
+    problems = {n: problem_from_spec({**spec.problem, "n": n}) for n in spec.n_list}
 
     rows: list[SpeedupRow] = []
     for cell in spec.cells:
         sweep_note: dict = {}
         c_value: float | None = None
         if spec.stepsize_policy == "constant":
-            c_value, sweep_note = _resolve_c(spec, spec.problem, cell, max(spec.n_list), T)
+            c_value, sweep_note = _resolve_c(spec, problems[max(problems)], cell, T)
             if sweep_note:
                 spec.notes.setdefault("sweeps", {})[cell.label] = sweep_note
         base_mean = base_se = None
-        for n in spec.n_list:
-            problem = problem_from_spec({**spec.problem, "n": n})
+        for n, problem in problems.items():
             consts = problem.constants()
             use_r = consts.x_star is not None
             sched, clamped = cell.build(n, T)

@@ -17,6 +17,7 @@ generator per seed), and certified constants with provenance tags:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -600,4 +601,8 @@ def problem_from_spec(spec: dict) -> Problem:
     maker = _MAKERS.get(family)
     if maker is None:
         raise ValueError(f"unknown problem family {family!r}; know {sorted(_MAKERS)}")
+    try:
+        inspect.signature(maker).bind(**spec)
+    except TypeError as exc:
+        raise ValueError(f"problem family {family!r}: {exc}") from None
     return maker(**spec)

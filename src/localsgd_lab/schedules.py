@@ -187,14 +187,20 @@ def schedule_from_spec(spec: dict) -> Schedule:
       {"strategy": "explicit", "H": [int, ...], "T": int (optional)}
     """
     strategy = spec.get("strategy")
+
+    def need(key):
+        if key not in spec:
+            raise ValueError(f"schedule strategy {strategy!r} needs {key}")
+        return spec[key]
+
     if strategy == "fixed":
-        return fixed_schedule(spec["T"], spec["R"])
+        return fixed_schedule(need("T"), need("R"))
     if strategy == "increasing-power":
-        return increasing_power_schedule(spec["a"], spec["s"], spec["T"])
+        return increasing_power_schedule(need("a"), need("s"), need("T"))
     if strategy == "decreasing-power":
-        return decreasing_power_schedule(spec["p"], spec["R"], spec["T"])
+        return decreasing_power_schedule(need("p"), need("R"), need("T"))
     if strategy == "explicit":
-        sched = Schedule(tuple(spec["H"]))
+        sched = Schedule(tuple(need("H")))
         if "T" in spec and sched.T != spec["T"]:
             raise ValueError(
                 f"explicit H sums to {sched.T}, violating sum(H) == T with T={spec['T']}"

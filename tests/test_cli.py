@@ -1,10 +1,16 @@
 """CLI tests: config validation, exit codes, CSV layout, plot-data export."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import localsgd_lab
 from localsgd_lab.cli import (
     ConfigError,
     load_config,
@@ -145,6 +151,70 @@ def test_run_exit2_on_schema_violation(tmp_path, capsys):
     cfg["experiment"]["surprise"] = True
     assert main(["run", write_cfg(tmp_path, cfg)]) == 2
     assert "surprise" in capsys.readouterr().err
+
+
+def test_run_exit2_on_missing_parameter_or_block(tmp_path, capsys):
+    cfg = bounds_cfg(tmp_path / "res")
+    del cfg["problem"]["mu"]
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    cfg = bounds_cfg(tmp_path / "res")
+    del cfg["schedule"]["s"]
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 2
+    assert "needs s" in capsys.readouterr().err
+    cfg = bounds_cfg(tmp_path / "res")
+    del cfg["schedule"]
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 2
+    assert "needs a schedule block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", ["KeyError", "TypeError"])
+def test_run_internal_error_is_not_invalid_config(tmp_path, error):
+    # a bug inside the harness keeps its traceback instead of exit 2 "invalid config"
+    script = ("import sys\n"
+              "from localsgd_lab import cli\n"
+              "def broken(problem, spec):\n"
+              f"    raise {error}('internal')\n"
+              "cli.run_bounds_experiment = broken\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(localsgd_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", write_cfg(tmp_path, bounds_cfg(tmp_path / "res"))],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode not in (0, 2)
+    assert "invalid config" not in proc.stderr
+    assert "Traceback" in proc.stderr and f"{error}: " in proc.stderr
+
+
+# sha256 of the CSVs these configs wrote before the metric pass moved off the
+# step loop; a speed change must leave every byte of them alone
+PINNED_CONFIGS = {
+    "thm1-quadratic": (
+        {"experiment": {"kind": "bounds", "theorem": 1, "record_stride": 1},
+         "schedule": {"strategy": "increasing-power", "a": 1.0, "s": 0.5, "T": 200}},
+        {"metrics.csv": "6839156d4a9ccb53f8b203a1d29e956a3432f1522eb99909180829cce3fd9f7e",
+         "bounds.csv": "46f843ea21eb1784f9f6b7a78702fc611584bd66bffc9746295c000314390165"}),
+    "thm3-nonconvex": (
+        {"experiment": {"kind": "bounds", "theorem": 3},
+         "problem": {"family": "nonconvex", "n": 4, "d": 4, "Q_diag": [1.0, 0.5, 0.2, 0.1],
+                     "delta": 1.0, "eps_sin": 0.2, "sigma_noise": 1.0, "seed": 7},
+         "schedule": {"strategy": "fixed", "T": 200, "R": 100},
+         "stepsize": {"policy": "constant", "c": 0.05},
+         "seeds": {"count": 3, "base": 5}},
+        {"metrics.csv": "8acab47132dbcdcc97605ef96ade1f8d2b4945d6d7dddd4c6c43e76b72d9ce92",
+         "bounds.csv": "8d2f0de248f7cb56066c622ad01a01686709563ecaa1f4babf57604645f3cf03"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_run_bounds_csv_digests_pinned(tmp_path, capsys, name):
+    tweaks, digests = PINNED_CONFIGS[name]
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, bounds_cfg(out, **tweaks))]) == 0
+    for csv_name, digest in digests.items():
+        assert hashlib.sha256((out / csv_name).read_bytes()).hexdigest() == digest, csv_name
 
 
 def test_run_byte_identical_across_seed_partitions(tmp_path, partition_seeds, capsys):

@@ -1,15 +1,18 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localsgd_lab import engine
 from localsgd_lab.engine import (
     ConstantStepsize,
     InverseTimeStepsize,
     RunConfig,
+    _mean_se,
     noise_generator,
     run_batch,
     run_local_sgd,
@@ -307,3 +310,164 @@ def test_batch_equals_one_seed_runs(case, problem_seed):
     batch = run_batch(p, config, seeds)
     for m in batch:
         assert_runs_bitwise_equal(m, run_local_sgd(p, replace(config, seed=m.seed)))
+
+
+SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
+
+
+def per_record_series(p, config, seeds):
+    """The engine's step loop with every metric evaluated at its own record point.
+
+    The formulas are those of a per-record evaluation on the (S, n, d) state,
+    written out here so the chunked snapshot pass has a reference to match.
+    """
+    S, n, T = len(seeds), p.n, config.schedule.T
+    consts = p.constants()
+    have_star = consts.x_star is not None
+    ref = consts.x_star if have_star else np.zeros(p.dim)
+    comm = set(config.schedule.tau[1:])
+    out = {name: [] for name in SERIES}
+    X = np.tile(config.x0, (S, n, 1))
+
+    def record():
+        xbar = X.mean(axis=1)
+        diff = X - xbar[:, None]
+        out["V"].append(np.einsum("sij,sij->s", diff, diff) / n)
+        dref = X - ref
+        out["dist_sq"].append(np.einsum("sij,sij->s", dref, dref) / n)
+        rv = xbar - ref
+        ref_sq = np.vecdot(rv, rv)
+        g = p._global_grad(xbar)
+        out["h"].append(np.vecdot(g, g))
+        out["ref_sq"].append(ref_sq)
+        out["r"].append(ref_sq if have_star else np.full(S, np.nan))
+        out["e"].append(p._global_value(xbar) - consts.f_star if have_star
+                        else np.full(S, np.nan))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        record()
+        for t in range(T):
+            gens = [noise_generator(s, t) for s in seeds] if p.has_gradient_noise else None
+            G = p.stochastic_grads(X, gens)
+            G *= config.stepsize.at(t)
+            X -= G
+            if t + 1 in comm:
+                X[:] = X.mean(axis=1, keepdims=True)
+            if (t + 1) % config.record_stride == 0 or t + 1 == T or t + 1 in comm:
+                record()
+    return {name: np.stack(values, axis=1) for name, values in out.items()}
+
+
+def assert_series_bitwise(runs, ref):
+    for s, m in enumerate(runs):
+        for name in SERIES:
+            got, want = getattr(m, name), ref[name][s]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m.seed, name)
+
+
+@st.composite
+def snapshot_cases(draw):
+    family = draw(st.sampled_from(["strongly-convex-quadratic", "convex-quadratic",
+                                   "nonconvex", "logistic"]))
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 4))
+    H = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    stride = draw(st.integers(1, sum(H) + 1))
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True))
+    sched = Schedule(tuple(H))
+    records = len(set(range(0, sched.T + 1, stride)) | set(sched.tau) | {sched.T})
+    # snapshots per chunk: more than, exactly, and fewer than the record points
+    chunk = draw(st.sampled_from(sorted({records + 1, records, max(1, records - 1), 1, 2})))
+    return family, n, d, sched, stride, seeds, chunk
+
+
+@settings(max_examples=80, deadline=None)
+@given(snapshot_cases(), st.integers(0, 50), st.booleans())
+def test_chunked_metrics_equal_per_record_metrics(case, problem_seed, track):
+    family, n, d, sched, stride, seeds, chunk = case
+    p = _family(family, n, d, problem_seed)
+    config = cfg(p, sched, ConstantStepsize(0.5, n, sched.T),
+                 record_stride=stride, track_averages=track)
+    state_bytes = len(seeds) * n * p.dim * 8
+    with mock.patch.object(engine, "_SNAPSHOT_BYTES", chunk * state_bytes):
+        runs = run_batch(p, config, seeds)
+    assert_series_bitwise(runs, per_record_series(p, config, seeds))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_metrics_across_one_full_snapshot_chunk(extra):
+    # at the module's own buffer size: records one below, at and above a chunk
+    p = noisy_problem(n=2, d=2)
+    chunk = engine._SNAPSHOT_BYTES // (1 * p.n * p.dim * 8)
+    T = chunk - 1 + extra  # T + 1 record points at stride 1
+    config = cfg(p, fixed_width_schedule(1, T), InverseTimeStepsize(0.2, 30.0))
+    runs = run_batch(p, config, [4])
+    assert len(runs[0].t) == chunk + extra
+    assert_series_bitwise(runs, per_record_series(p, config, [4]))
+
+
+def test_diverging_metrics_equal_per_record_metrics():
+    p = make_strongly_convex_quadratics(n=4, d=5, mu=0.1, L=1.0, delta=1.0,
+                                        sigma_noise=1.0, seed=0)
+    config = cfg(p, fixed_width_schedule(5, 600), ConstantStepsize(50.0, 4, 600))
+    runs = run_batch(p, config, [0, 1, 2])
+    assert all(not np.all(np.isfinite(m.r)) and not np.all(np.isfinite(m.V)) for m in runs)
+    assert_series_bitwise(runs, per_record_series(p, config, [0, 1, 2]))
+
+
+def fsum_mean_se(columns):
+    """Per-column math.fsum mean and ddof=1 standard error, IEEE mean where fsum fails."""
+    S = columns.shape[0]
+    means, ses = [], []
+    for col in columns.T.tolist():
+        try:
+            mean = math.fsum(col) / S
+            se = 0.0
+            if S > 1:
+                with np.errstate(over="ignore"):
+                    sq = [np.float64(v - mean) ** 2 for v in col]
+                se = math.sqrt(math.fsum(sq) / (S - 1) / S)
+        except (OverflowError, ValueError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, se = np.sum(col) / S, math.nan
+        means.append(mean)
+        ses.append(se)
+    return np.array(means, dtype=float), np.array(ses, dtype=float)
+
+
+_EXTREMES = [math.inf, -math.inf, math.nan, 1e308, -1e308, 1e200, -1e160, 5e-324, 0.0, -0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 3), st.data())
+def test_mean_se_equals_fsum_reference(S, K, block, data):
+    values = data.draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_EXTREMES)),
+                                min_size=S * K, max_size=S * K))
+    columns = np.array(values, dtype=float).reshape(S, K)
+    with mock.patch.object(engine, "_MEAN_SE_COLUMNS", block):
+        mean, se = _mean_se(columns)
+    want_mean, want_se = fsum_mean_se(columns)
+    assert mean.tobytes() == want_mean.tobytes()
+    assert se.tobytes() == want_se.tobytes()
+
+
+def test_mean_se_non_finite_columns():
+    columns = np.array([[1.0, math.inf, 1e308, 1e200, math.nan],
+                        [2.0, -math.inf, 1e308, 0.0, 1.0],
+                        [4.0, 0.0, 1e308, 0.0, 1.0]])
+    mean, se = _mean_se(columns)
+    assert mean[0] == 7.0 / 3 and se[0] == math.sqrt(math.fsum(
+        [(v - 7.0 / 3) ** 2 for v in (1.0, 2.0, 4.0)]) / 2 / 3)
+    assert math.isnan(mean[1]) and math.isnan(se[1])       # inf - inf: IEEE mean, NaN se
+    assert mean[2] == math.inf and math.isnan(se[2])        # exact sum overflows
+    assert mean[3] == 1e200 / 3 and se[3] == math.inf       # mean exact, squares overflow
+    assert math.isnan(mean[4]) and math.isnan(se[4])
+
+
+def test_mean_se_squares_round_like_pow():
+    # libm pow(x, 2) can sit one ulp off x * x; the CSVs carry the pow squares
+    col = [2.37, 5.65, 9.81]
+    mean = math.fsum(col) / 3
+    want = math.sqrt(math.fsum([(v - mean) ** 2 for v in col]) / 2 / 3)
+    assert want != math.sqrt(math.fsum([(v - mean) * (v - mean) for v in col]) / 2 / 3)
+    assert _mean_se(np.array([col]).T)[1][0] == want
