@@ -9,8 +9,8 @@ Three subcommands:
 Exit codes: 0 ok, 2 invalid input (JSON, schema, or parameter), 3 theorem
 precondition refusal, 4 numerical failure (a simulated iterate diverged).
 Runs are deterministic: the same config produces byte-identical CSVs, and the
-engine's seed batches are partition invariant, so the bytes do not depend on
-which seeds are simulated together.
+engine's batches are partition invariant, so the bytes do not depend on
+which seeds and cells are simulated together.
 """
 
 from __future__ import annotations

@@ -2,21 +2,29 @@
 
 Runs n agents for T steps: each step every agent takes a local stochastic
 gradient step, and whenever t+1 is a communication instant tau_i all states
-are replaced by their average. All seeds of a batch share one state array
-of shape (S, n, d) and advance together, one numpy pass per step. Gradient
-noise at step t comes from a counter-based generator keyed by (seed, t), with
-agent i reading row i of the step's noise block, so a seed's trajectory is
-bit-identical regardless of schedule, recording stride, or which seeds share
-its batch: running the seeds all at once, in chunks, or one at a time writes
-the same bytes.
+are replaced by their average. One batch runs lanes, one lane per (config,
+seed) pair: configs that share n, x0, T, the stepsize and track_averages but
+differ in schedule or record_stride run together on the same seeds, and all
+lanes share one state array of shape (C, S, n, d) that advances in one numpy
+pass per step. Each step averages only the configs that communicate after it.
+
+Gradient noise at step t comes from a counter-based generator keyed by
+(seed, t), with agent i reading row i of the step's noise block. A step draws
+each seed's block once, and every config of the batch uses it: the oracles
+take X of shape (..., S, n, dim) with one generator per seed, and every
+leading index shares seed s's draw. So a lane's trajectory is bit-identical
+regardless of schedule, recording stride, or which configs and seeds share
+its batch: running them all at once, in chunks, or one at a time writes the
+same bytes. RunMetrics.wall_time is the wall time of the whole batch.
 
 Recorded series (sampled at t = 0, multiples of record_stride, every
 communication instant, and t = T). A record point only copies the (S, n, d)
-state into a snapshot buffer of about 64 KiB; when the buffer fills, and once
-after the last step, the series of every buffered snapshot are computed in one
-batched pass, with the same formulas as a per-snapshot evaluation and so with
-the same bits. V is computed from the full state: after averaging it is
-rounding residue, not exactly 0.
+states of the configs that record there into a snapshot buffer of about
+64 KiB; when the buffer fills, and once after the last step, the series of
+every buffered snapshot are computed in one batched pass, with the same
+formulas as a per-snapshot evaluation and so with the same bits, and each
+config's columns go to its own series. V is computed from the full state:
+after averaging it is rounding residue, not exactly 0.
 
   r_t  = ||xbar_t - x*||^2          (NaN when the family has no x*)
   e_t  = f(xbar_t) - f*             (NaN likewise)
@@ -37,6 +45,7 @@ from .schedules import Schedule
 
 _SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
 _MEAN_SE_COLUMNS = 1024  # columns per _mean_se pass; bounds its lists of Python floats
+_SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,8 @@ class RunMetrics:
     dist_sq and ref_sq are diagnostics for the averaging identity
     (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2 with ref = x* when the
     family has one, else the origin. wall_time is the wall time of the whole
-    batch that ran this seed, so every seed of one batch reports the same value.
+    batch that ran this lane, all its configs and seeds, so every lane of one
+    batch reports the same value.
     """
 
     seed: int
@@ -187,7 +197,7 @@ class AggregateMetrics:
 
 
 class _Kahan:
-    """Compensated accumulator, one lane per seed."""
+    """Compensated accumulator, one sum per lane."""
 
     __slots__ = ("s", "c")
 
@@ -208,28 +218,45 @@ def run_local_sgd(problem: Problem, config: RunConfig) -> RunMetrics:
 
 
 def run_batch(problem: Problem, config: RunConfig, seeds) -> list[RunMetrics]:
-    """Run one seed per entry of `seeds` (config.seed is ignored), in input order.
+    """Run one seed per entry of `seeds` (config.seed is ignored), in input order."""
+    return run_cells(problem, [config], seeds)[0]
 
-    The seeds share one (S, n, d) state and every step is one numpy pass over
-    all of them; seed s draws its noise only from its own (seed, t) streams, so
-    its metrics are bitwise those of the one-seed batch [s].
+
+def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
+    """Run every config on every seed: result[k][j] is configs[k] on seeds[j].
+
+    Each (config, seed) pair is a lane, and all lanes share one (C, S, n, d)
+    state that every step advances in one numpy pass. The configs must share
+    n, x0, T, the stepsize and track_averages; they may differ in schedule and
+    record_stride, and config.seed is ignored. Each step draws seed s's noise
+    once, from its own (seed, t) stream, for every config, so a lane's metrics
+    are bitwise those of the one-config, one-seed batch.
     """
+    configs = list(configs)
     seeds = [int(s) for s in seeds]
+    if not configs:
+        raise ValueError("need at least one config")
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     if min(seeds) < 0:
         raise ValueError(f"need seeds >= 0, got {min(seeds)}")
-    if config.n != problem.n:
-        raise ValueError(f"config.n = {config.n} but problem has n = {problem.n}")
-    if config.x0.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {config.x0.shape}, expected ({problem.dim},)")
-    sched = config.schedule
-    T = sched.T
+    first = configs[0]
+    for config in configs:
+        if config.n != problem.n:
+            raise ValueError(f"config.n = {config.n} but problem has n = {problem.n}")
+        if config.x0.shape != (problem.dim,):
+            raise ValueError(f"x0 has shape {config.x0.shape}, expected ({problem.dim},)")
+        if (config.schedule.T != first.schedule.T or config.stepsize != first.stepsize
+                or config.track_averages != first.track_averages
+                or not np.array_equal(config.x0, first.x0)):
+            raise ValueError("the configs of one batch must share n, x0, T, the stepsize "
+                             "and track_averages")
+    T = first.schedule.T
     n = problem.n
     d = problem.dim
-    S = len(seeds)
+    C, S = len(configs), len(seeds)
 
     consts = problem.constants()
     x_star = consts.x_star
@@ -237,88 +264,120 @@ def run_batch(problem: Problem, config: RunConfig, seeds) -> list[RunMetrics]:
     have_star = x_star is not None
     ref = x_star if have_star else np.zeros(problem.dim)
 
-    comm_at = np.zeros(T + 1, dtype=bool)
-    comm_at[np.asarray(sched.tau[1:], dtype=np.int64)] = True
-    record_at = np.zeros(T + 1, dtype=bool)
-    record_at[:: config.record_stride] = True
-    record_at[0] = record_at[T] = True
-    record_at |= comm_at
-    rec_t = np.flatnonzero(record_at).astype(np.int64)
-    rec_comm = comm_at[rec_t]
-    rec = {k: np.full((S, len(rec_t)), np.nan) for k in ("r", "e", "V", "h", "dist_sq", "ref_sq")}
+    comm = np.zeros((C, T + 1), dtype=bool)
+    record = np.zeros((C, T + 1), dtype=bool)
+    for k, config in enumerate(configs):
+        comm[k, np.asarray(config.schedule.tau[1:], dtype=np.int64)] = True
+        record[k, :: config.record_stride] = True
+    record[:, 0] = record[:, T] = True
+    record |= comm
+    rec_t = [np.flatnonzero(mask) for mask in record]
+    rec_comm = [comm[k, t] for k, t in enumerate(rec_t)]
+    store = [np.full((len(_SERIES), S, len(t)), np.nan) for t in rec_t]
+    filled = [0] * C
 
-    X = np.tile(config.x0, (S, n, 1))
+    # what happens after step t - 1, one plan per distinct column of (comm; record):
+    # the configs averaged and the configs recorded, each None (no config),
+    # Ellipsis (every config) or their indices, and the recorded configs' indices
+    def lanes(mask):
+        return None if not mask.any() else ... if mask.all() else np.flatnonzero(mask)
+
+    packed = np.ascontiguousarray(np.packbits(np.vstack([comm, record]), axis=0).T)
+    _, first_t, plan_at = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                    return_index=True, return_inverse=True)
+    plans = [(lanes(comm[:, t]), lanes(record[:, t]), np.flatnonzero(record[:, t]))
+             for t in first_t.tolist()]
+    plan = [plans[i] for i in plan_at.tolist()]
+
+    X = np.tile(first.x0, (C, S, n, 1))
+    Y = X[0] if C == 1 else X  # the stepped view; one config skips broadcasting a unit axis
     noises = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else None
     grads = problem.stochastic_grads
-    eta_at = config.stepsize.at
+    eta_at = first.stepsize.at
     value = problem._global_value
     grad = problem._global_grad
 
-    sum_e, sum_h = _Kahan(S), _Kahan(S)
-    track = config.track_averages
+    sum_e, sum_h = _Kahan(C * S), _Kahan(C * S)
+    track = first.track_averages
 
-    snaps = np.empty((max(1, _SNAPSHOT_BYTES // X.nbytes), *X.shape))
-    done = held = 0  # record points flushed, snapshots waiting
+    # one snapshot row is one config's (S, n, d) state at one of its record points
+    snaps = np.empty((max(C, _SNAPSHOT_BYTES // X[0].nbytes), S, n, d))
+    owners = []  # the configs of the held rows, one index array per snapshot
+    held = 0
 
-    def record():
+    def snapshot(rec, ids):
         nonlocal held
-        snaps[held] = X
-        held += 1
-        if held == len(snaps):
+        if held + len(ids) > len(snaps):
             flush()
+        snaps[held:held + len(ids)] = X[rec]
+        owners.append(ids)
+        held += len(ids)
 
     def flush():
-        """Series of the held snapshots, k of them at once: (k, S, ...) -> columns."""
-        nonlocal done, held
+        """Series of the held rows at once, (k, S, ...) -> each config's columns."""
+        nonlocal held
         Xs = snaps[:held]
-        cols = slice(done, done + held)
         xbar = Xs.mean(axis=2)
         diff = Xs - xbar[:, :, None]
-        rec["V"][:, cols] = (np.einsum("ksij,ksij->ks", diff, diff) / n).T
         dref = Xs - ref
-        rec["dist_sq"][:, cols] = (np.einsum("ksij,ksij->ks", dref, dref) / n).T
         rv = xbar - ref
-        ref_sq = np.vecdot(rv, rv).T
+        ref_sq = np.vecdot(rv, rv)
         rows = xbar.reshape(-1, d)
         g = grad(rows)
-        rec["h"][:, cols] = np.vecdot(g, g).reshape(held, S).T
-        rec["ref_sq"][:, cols] = ref_sq
         if have_star:
-            rec["r"][:, cols] = ref_sq
-            rec["e"][:, cols] = (value(rows) - f_star).reshape(held, S).T
-        done += held
+            r, e = ref_sq, (value(rows) - f_star).reshape(held, S)
+        else:
+            r = e = np.full(ref_sq.shape, np.nan)
+        vals = np.stack([r, e, np.einsum("ksij,ksij->ks", diff, diff) / n,
+                         np.vecdot(g, g).reshape(held, S),
+                         np.einsum("ksij,ksij->ks", dref, dref) / n, ref_sq])
+        counts = [held]
+        if C > 1:  # group the rows by config, keeping their order in time
+            owner = np.concatenate(owners)
+            vals = vals[:, np.argsort(owner, kind="stable")]
+            counts = np.bincount(owner, minlength=C).tolist()
+        lo = 0
+        for k, m in enumerate(counts):
+            if m:
+                store[k][:, :, filled[k]:filled[k] + m] = vals[:, lo:lo + m].transpose(0, 2, 1)
+                filled[k] += m
+                lo += m
+        owners.clear()
         held = 0
 
     wall = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):  # run_many reports divergence
-        record()
+    with np.errstate(over="ignore", invalid="ignore"):  # _aggregate reports divergence
+        snapshot(..., np.arange(C))  # every config records t = 0
         for t in range(T):
             if track:
-                xbar = X.mean(axis=1)
+                xbar = X.mean(axis=2).reshape(-1, d)
                 g = grad(xbar)
                 sum_h.add(np.vecdot(g, g))
                 if have_star:
                     sum_e.add(value(xbar) - f_star)
             gens = [noise.at_step(t) for noise in noises] if noises is not None else None
-            G = grads(X, gens)
+            G = grads(Y, gens)
             G *= eta_at(t)
-            X -= G
-            if comm_at[t + 1]:
-                X[:] = X.mean(axis=1, keepdims=True)
-            if record_at[t + 1]:
-                record()
+            Y -= G
+            avg, rec, ids = plan[t + 1]
+            if avg is not None:
+                X[avg] = X[avg].mean(axis=2, keepdims=True)
+            if rec is not None:
+                snapshot(rec, ids)
         if held:
             flush()
-        final_x_bar = X.mean(axis=1)
+        final_x_bar = X.mean(axis=2)
     wall = time.perf_counter() - wall
 
-    avg_e = (sum_e.s / T).tolist() if (track and have_star) else [math.nan] * S
-    avg_h = (sum_h.s / T).tolist() if track else [math.nan] * S
+    nan_lanes = np.full((C, S), np.nan).tolist()
+    avg_e = (sum_e.s / T).reshape(C, S).tolist() if (track and have_star) else nan_lanes
+    avg_h = (sum_h.s / T).reshape(C, S).tolist() if track else nan_lanes
     return [
-        RunMetrics(seed=seed, t=rec_t, is_comm=rec_comm, final_x_bar=final_x_bar[s],
-                   rounds_used=sched.R, avg_e=avg_e[s], avg_h=avg_h[s], wall_time=wall,
-                   **{name: series[s] for name, series in rec.items()})
-        for s, seed in enumerate(seeds)
+        [RunMetrics(seed=seed, t=rec_t[k], is_comm=rec_comm[k], final_x_bar=final_x_bar[k, j],
+                    rounds_used=config.schedule.R, avg_e=avg_e[k][j], avg_h=avg_h[k][j],
+                    wall_time=wall, **dict(zip(_SERIES, store[k][:, j])))
+         for j, seed in enumerate(seeds)]
+        for k, config in enumerate(configs)
     ]
 
 
@@ -327,8 +386,29 @@ def _mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A column whose exact sums fail (they overflow, or meet both infinities)
     gets the plain IEEE mean, which is then not finite, and a NaN standard
-    error; every other column keeps the exact math.fsum path.
+    error; every other column gets the exact math.fsum results. The exact sum
+    of at most two doubles is their IEEE sum, so up to two seeds the sums are
+    numpy's, and only the columns whose mean or standard error is not finite
+    take the math.fsum loop.
     """
+    S, K = columns.shape
+    if S > 2:
+        return _fsum_mean_se(columns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = columns.sum(axis=0) / S
+        se = np.zeros(K)
+        if S == 2:
+            dev = columns - mean
+            np.float_power(dev, 2, out=dev)
+            se = np.sqrt(dev.sum(axis=0) / (S - 1) / S)
+    slow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(se)))
+    if len(slow):
+        mean[slow], se[slow] = _fsum_mean_se(columns[:, slow])
+    return mean, se
+
+
+def _fsum_mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_mean_se with one math.fsum per column and sum, in blocks of columns."""
     S, K = columns.shape
     mean = np.empty(K)
     se = np.zeros(K)
@@ -360,10 +440,11 @@ def _diverged(m: RunMetrics) -> bool:
         np.isinf(series).any() for series in (m.r, m.e, m.V, m.h))
 
 
-def run_many(problem: Problem, config: RunConfig, seeds) -> AggregateMetrics:
-    """Seed-averaged metrics; reduction happens in ascending-seed order so the
-    result is independent of the order and partition of `seeds`."""
-    runs = sorted(run_batch(problem, config, seeds), key=lambda m: m.seed)
+def _aggregate(runs) -> AggregateMetrics:
+    """Seed-averaged metrics of one config's runs; reduction happens in
+    ascending-seed order so the result is independent of the order and
+    partition of the seeds."""
+    runs = sorted(runs, key=lambda m: m.seed)
     stats = {}
     for name in ("r", "e", "V", "h"):
         stats[f"mean_{name}"], stats[f"se_{name}"] = _mean_se(
@@ -376,3 +457,8 @@ def run_many(problem: Problem, config: RunConfig, seeds) -> AggregateMetrics:
         n_seeds=len(runs), seeds=tuple(m.seed for m in runs), runs=tuple(runs),
         diverged=tuple(m.seed for m in runs if _diverged(m)),
     )
+
+
+def run_many(problem: Problem, config: RunConfig, seeds) -> AggregateMetrics:
+    """Seed-averaged metrics of `config` on `seeds` (see _aggregate)."""
+    return _aggregate(run_batch(problem, config, seeds))

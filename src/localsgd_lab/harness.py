@@ -12,11 +12,15 @@ Four experiment kinds:
 All experiments start from x0 = 0, average over the spec's seed list, and are
 bit-reproducible from (spec, seeds). The nonconvex error measure is the
 time-averaged squared gradient norm; families with a minimizer use r_T.
+The cells of rounds-to-target and strategy-compare share problem, stepsize
+and seeds, so all of them run as one engine batch; bounds, speedup and the
+c-sweep run one schedule per batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +31,8 @@ from .engine import (
     ConstantStepsize,
     InverseTimeStepsize,
     RunConfig,
-    run_many,
+    _aggregate,
+    run_cells,
 )
 from .objectives import Problem, SinusoidQuadraticProblem, problem_from_spec
 from .schedules import (
@@ -201,21 +206,27 @@ class ExperimentSpec:
             raise ValueError(f"measure must be r, e or h, got {self.measure!r}")
 
 
-def _simulate(problem: Problem, sched: Schedule, stepsize, seeds, record_stride: int,
-              track_averages: bool, what: str | None = "schedule") -> AggregateMetrics:
-    """Seed-mean metrics of one schedule run from x0 = 0.
+def _simulate(problem: Problem, scheds: list[Schedule], stepsize, seeds, record_stride: int,
+              track_averages: bool, names: list[str] | None) -> Iterator[AggregateMetrics]:
+    """Seed-mean metrics of each schedule run from x0 = 0, yielded in order.
 
-    Raises DivergenceError naming `what` when a seed's iterate stops being
-    finite; with what=None diverged seeds are left in the result.
+    All schedules run as one engine batch; each is reduced over its seeds only
+    when the caller asks for it. With names (one per schedule), the first
+    schedule whose seeds diverged raises DivergenceError naming it; with
+    names=None diverged seeds are left in the result.
     """
-    agg = run_many(problem, RunConfig(
-        n=problem.n, schedule=sched, stepsize=stepsize, x0=np.zeros(problem.dim),
-        seed=0, record_stride=record_stride, track_averages=track_averages,
-    ), seeds)
-    if agg.diverged and what is not None:
-        raise DivergenceError(f"{what}: seeds {list(agg.diverged)} diverged "
-                              f"(non-finite iterate); lower the stepsize")
-    return agg
+    x0 = np.zeros(problem.dim)
+    cells = run_cells(problem, [
+        RunConfig(n=problem.n, schedule=sched, stepsize=stepsize, x0=x0, seed=0,
+                  record_stride=record_stride, track_averages=track_averages)
+        for sched in scheds], seeds)
+    for k in range(len(cells)):
+        agg = _aggregate(cells[k])
+        cells[k] = None  # a caller that keeps only its row lets these lanes go
+        if agg.diverged and names is not None:
+            raise DivergenceError(f"{names[k]}: seeds {list(agg.diverged)} diverged "
+                                  f"(non-finite iterate); lower the stepsize")
+        yield agg
 
 
 def _stepsize(spec: ExperimentSpec, mu: float, n: int, T: int, c: float | None = None):
@@ -246,8 +257,8 @@ def _resolve_c(spec: ExperimentSpec, problem: Problem, cell: StrategyCell,
     use_h = problem.constants().x_star is None
     scores = []
     for c in spec.c:
-        agg = _simulate(problem, sched, ConstantStepsize(float(c), n, T), seeds,
-                        record_stride=T, track_averages=use_h, what=None)
+        [agg] = _simulate(problem, [sched], ConstantStepsize(float(c), n, T), seeds,
+                          record_stride=T, track_averages=use_h, names=None)
         err = agg.mean_avg_h if use_h else float(agg.mean_r[-1])
         scores.append((err if math.isfinite(err) else math.inf, float(c)))
     best = min(scores)
@@ -300,8 +311,9 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
                 f"round {bad + 1}: H={sched.H[bad]} exceeds cap {cond.caps[bad]:g}",
             )
         stepsize = InverseTimeStepsize(consts.mu, beta)
-        agg = _simulate(problem, sched, stepsize, spec.seeds,
-                        record_stride=spec.record_stride, track_averages=False)
+        [agg] = _simulate(problem, [sched], stepsize, spec.seeds,
+                          record_stride=spec.record_stride, track_averages=False,
+                          names=["schedule"])
         r0 = float(np.sum((x0 - consts.x_star) ** 2))
         rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, T=T, mu=consts.mu,
                        L=consts.L, sigma_bar_sq=consts.sigma_bar_sq)
@@ -322,8 +334,8 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
                 "check_thm2_condition",
                 f"max H={cond.max_H} exceeds cap sqrt(T)/(7Lc sqrt(n))={cond.cap:g}",
             )
-        agg = _simulate(problem, sched, stepsize, spec.seeds,
-                        record_stride=1, track_averages=False)
+        [agg] = _simulate(problem, [sched], stepsize, spec.seeds,
+                          record_stride=1, track_averages=False, names=["schedule"])
         r0 = float(np.sum((x0 - consts.x_star) ** 2))
         rhs = thm2_rhs(sched, r0=r0, c=c, n=n, T=T, L=consts.L,
                        sigma_bar_sq=consts.sigma_bar_sq)
@@ -336,8 +348,8 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
             "check_thm3_condition",
             f"max H={cond.max_H} exceeds cap sqrt(T)/(7LBc sqrt(n))={cond.cap:g}",
         )
-    agg = _simulate(problem, sched, stepsize, spec.seeds,
-                    record_stride=1, track_averages=False)
+    [agg] = _simulate(problem, [sched], stepsize, spec.seeds,
+                      record_stride=1, track_averages=False, names=["schedule"])
     if consts.f_star is not None:
         e0 = problem.global_value(x0) - consts.f_star
     elif isinstance(problem, SinusoidQuadraticProblem):
@@ -384,11 +396,11 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
 
     stepsize = _stepsize(spec, consts.mu, problem.n, spec.t_max)
 
+    scheds = [cell.build(problem.n, spec.t_max)[0] for cell in spec.cells]
+    aggs = _simulate(problem, scheds, stepsize, spec.seeds, record_stride=spec.t_max,
+                     track_averages=False, names=[f"cell {cell.label}" for cell in spec.cells])
     rows = []
-    for cell in spec.cells:
-        sched, _ = cell.build(problem.n, spec.t_max)
-        agg = _simulate(problem, sched, stepsize, spec.seeds, record_stride=spec.t_max,
-                        track_averages=False, what=f"cell {cell.label}")
+    for cell, sched, agg in zip(spec.cells, scheds, aggs):
         series = _measure_series(agg, spec.measure)
         eligible = np.zeros(len(agg.t), dtype=bool)
         eligible[0] = True
@@ -434,8 +446,8 @@ def run_speedup_experiment(spec: ExperimentSpec) -> list[SpeedupRow]:
             use_r = consts.x_star is not None
             sched, clamped = cell.build(n, T)
             stepsize = _stepsize(spec, consts.mu, n, T, c_value)
-            agg = _simulate(problem, sched, stepsize, spec.seeds, record_stride=T,
-                            track_averages=not use_r, what=f"cell {cell.label} at n={n}")
+            [agg] = _simulate(problem, [sched], stepsize, spec.seeds, record_stride=T,
+                              track_averages=not use_r, names=[f"cell {cell.label} at n={n}"])
             if use_r:
                 mean_err, se_err = float(agg.mean_r[-1]), float(agg.se_r[-1])
             else:
@@ -465,10 +477,7 @@ def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, Ag
         raise ValueError("strategy-compare needs T >= 1")
     consts = problem.constants()
     stepsize = _stepsize(spec, consts.mu, problem.n, spec.T)
-    out: dict[str, AggregateMetrics] = {}
-    for cell in spec.cells:
-        sched, _ = cell.build(problem.n, spec.T)
-        out[cell.label] = _simulate(problem, sched, stepsize, spec.seeds,
-                                    record_stride=spec.record_stride, track_averages=True,
-                                    what=f"cell {cell.label}")
-    return out
+    scheds = [cell.build(problem.n, spec.T)[0] for cell in spec.cells]
+    aggs = _simulate(problem, scheds, stepsize, spec.seeds, record_stride=spec.record_stride,
+                     track_averages=True, names=[f"cell {cell.label}" for cell in spec.cells])
+    return {cell.label: agg for cell, agg in zip(spec.cells, aggs)}

@@ -92,7 +92,10 @@ class Problem:
         return x
 
     # subclasses implement _local_value, _local_full_grad, _local_stochastic_grad,
-    # _global_value, _global_grad, full_grads, stochastic_grads, _constants
+    # _global_value, _global_grad, full_grads, stochastic_grads, _constants.
+    # stochastic_grads(X, gens) takes X of shape (..., S, n, dim) with
+    # len(gens) == S and draws seed s's noise from gens[s] once: every leading
+    # index of X shares that draw, as the configs of one engine batch do.
 
     def local_value(self, i: int, x) -> float:
         return self._local_value(self._check_agent(i), self._check_x(x))
@@ -176,7 +179,7 @@ class DiagonalQuadraticProblem(Problem):
     def stochastic_grads(self, X, gens) -> Vector:
         G = self.q * (X - self.c)
         if self.has_gradient_noise:
-            G += self._noise_scale * _standard_normals(gens, X.shape)
+            G += self._noise_scale * _standard_normals(gens, X.shape[-3:])
         return G
 
     def _constants(self):
@@ -274,7 +277,7 @@ class SinusoidQuadraticProblem(Problem):
     def stochastic_grads(self, X, gens) -> Vector:
         G = self.Q * (X - self.c) + self.eps_sin * np.cos(X)
         if self.has_gradient_noise:
-            G += self._noise_scale * _standard_normals(gens, X.shape)
+            G += self._noise_scale * _standard_normals(gens, X.shape[-3:])
         return G
 
     def value_lower_bound(self) -> float:
@@ -395,14 +398,14 @@ class LogisticProblem(Problem):
         return np.stack([self._local_full_grad(i, X[i]) for i in range(self.n)])
 
     def stochastic_grads(self, X, gens) -> Vector:
-        S = X.shape[0]
+        S = len(gens)
         agents = np.arange(self.n)
         idx = np.stack([gen.integers(0, self.counts) for gen in gens])
-        W = X.reshape(S, self.n, self.K, self.d)
+        W = X.reshape(*X.shape[:-1], self.K, self.d)
         a = self.feats[agents, idx]
-        z = np.einsum("snkd,snd->snk", W, a)
+        z = np.einsum("...snkd,snd->...snk", W, a)
         P = self._softmax(z)
-        P[np.arange(S)[:, None], agents, self.labels[agents, idx]] -= 1.0
+        P[..., np.arange(S)[:, None], agents, self.labels[agents, idx]] -= 1.0
         return (P[..., None] * a[..., None, :]).reshape(X.shape) + self.lam * X
 
     def _constants(self):

@@ -1,26 +1,35 @@
 import pytest
 
-from localsgd_lab import engine
+from localsgd_lab import engine, harness
 
 
 @pytest.fixture
 def partition_seeds(monkeypatch):
-    """partition_seeds(k) makes every engine.run_batch call simulate its seeds
-    in consecutive chunks of k; returns the list the chunk sizes go into."""
+    """partition_seeds(k, cells) makes every engine.run_cells call, the harness's
+    included, simulate its seeds in consecutive chunks of k and its configs in
+    consecutive chunks of `cells` (None keeps them all in one call); returns the
+    list the (configs, seeds) size of every call goes into."""
+    whole = engine.run_cells
 
-    def partition(k: int) -> list[int]:
-        whole = engine.run_batch
-        sizes: list[int] = []
+    def partition(k: int | None = None, cells: int | None = None) -> list[tuple[int, int]]:
+        sizes: list[tuple[int, int]] = []
 
-        def chunked(problem, config, seeds):
-            seeds = list(seeds)
-            runs = []
-            for i in range(0, len(seeds), k):
-                sizes.append(len(seeds[i:i + k]))
-                runs += whole(problem, config, seeds[i:i + k])
-            return runs
+        def chunked(problem, configs, seeds):
+            configs, seeds = list(configs), list(seeds)
+            out = []
+            for lo in range(0, len(configs), cells or len(configs)):
+                part = configs[lo:lo + (cells or len(configs))]
+                lanes = [[] for _ in part]
+                for i in range(0, len(seeds), k or len(seeds)):
+                    chunk = seeds[i:i + (k or len(seeds))]
+                    sizes.append((len(part), len(chunk)))
+                    for lane, runs in zip(lanes, whole(problem, part, chunk)):
+                        lane += runs
+                out += lanes
+            return out
 
-        monkeypatch.setattr(engine, "run_batch", chunked)
+        monkeypatch.setattr(engine, "run_cells", chunked)
+        monkeypatch.setattr(harness, "run_cells", chunked)
         return sizes
 
     return partition

@@ -208,6 +208,45 @@ PINNED_CONFIGS = {
 }
 
 
+QUADRATIC = {"family": "strongly-convex-quadratic", "n": 4, "d": 4, "mu": 0.5, "L": 2.0,
+             "delta": 1.0, "sigma_noise": 1.0, "seed": 7}
+
+# multi-cell experiments, whose cells run as one engine batch, pinned to the
+# sha256 their CSVs had when every cell ran as a batch of its own
+PINNED_MULTI_CELL = {
+    "rounds-to-target": (
+        {"experiment": {"kind": "rounds-to-target", "t_max": 300, "measure": "r",
+                        "threshold_auto_factor": 1.5,
+                        "cells": [{"label": "inc", "kind": "increasing-power", "a": 1.0, "s": 0.5},
+                                  {"label": "unit", "kind": "fixed-width", "H": 1},
+                                  {"label": "H3", "kind": "fixed-width", "H": 3},
+                                  {"label": "H8", "kind": "fixed-width", "H": 8},
+                                  {"label": "R5", "kind": "fixed", "R": 5}]},
+         "problem": QUADRATIC,
+         "stepsize": {"policy": "inverse-time", "beta": 80.0},
+         "seeds": {"count": 3}},
+        {"tradeoff.csv": "3dc90d2be16a90bdbb95da18fd5e169ef70e9ddbcd8ecc345790aae3c9cebbf5"}),
+    "strategy-compare": (
+        {"experiment": {"kind": "strategy-compare", "T": 120, "record_stride": 7,
+                        "cells": [{"label": "A", "kind": "fixed", "R": 9},
+                                  {"label": "B", "kind": "increasing-power", "a": 1.0, "s": 0.5},
+                                  {"label": "C", "kind": "fixed-width", "H": 4},
+                                  {"label": "D", "kind": "decreasing-rounds", "R": 6}]},
+         "problem": QUADRATIC,
+         "stepsize": {"policy": "inverse-time", "beta": 80.0},
+         "seeds": [9, 4]},
+        {"convergence.csv": "abd1d5b24761a206664abf1e472a2d71dbe96c3fefaa958bb60ea0cf70d4275c"}),
+}
+
+
+def run_digests(tmp_path, cfg, out_name="res"):
+    """Run cfg into tmp_path/out_name; sha256 of every CSV it wrote, by relative path."""
+    out = tmp_path / out_name
+    assert main(["run", write_cfg(tmp_path, cfg, f"{out_name}.json"), "--out", str(out)]) == 0
+    return {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*.csv"))}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
 def test_run_bounds_csv_digests_pinned(tmp_path, capsys, name):
     tweaks, digests = PINNED_CONFIGS[name]
@@ -217,11 +256,36 @@ def test_run_bounds_csv_digests_pinned(tmp_path, capsys, name):
         assert hashlib.sha256((out / csv_name).read_bytes()).hexdigest() == digest, csv_name
 
 
+@pytest.mark.parametrize("kind", sorted(PINNED_MULTI_CELL))
+def test_run_multi_cell_csv_digests_pinned(tmp_path, capsys, kind):
+    cfg, digests = PINNED_MULTI_CELL[kind]
+    got = run_digests(tmp_path, cfg)
+    for csv_name, digest in digests.items():
+        assert got[csv_name] == digest, csv_name
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_MULTI_CELL))
+def test_run_multi_cell_byte_identical_across_layouts(tmp_path, partition_seeds, capsys, kind):
+    # every cell in one engine call, one cell per call, and the seeds in chunks
+    cfg, _ = PINNED_MULTI_CELL[kind]
+    C, S = len(cfg["experiment"]["cells"]), {"rounds-to-target": 3, "strategy-compare": 2}[kind]
+    layouts = {"whole": ((None, None), [(C, S)]),
+               "per-cell": ((None, 1), [(1, S)] * C),
+               "seed-chunks": ((S - 1, None), [(C, S - 1), (C, 1)])}
+    digests = {}
+    for name, ((k, cells), sizes_expected) in layouts.items():
+        sizes = partition_seeds(k, cells)
+        digests[name] = run_digests(tmp_path, cfg, name)
+        assert sizes == sizes_expected, name
+    assert len(digests["whole"]) == {"rounds-to-target": 1, "strategy-compare": 1 + C}[kind]
+    assert digests["per-cell"] == digests["whole"] == digests["seed-chunks"]
+
+
 def test_run_byte_identical_across_seed_partitions(tmp_path, partition_seeds, capsys):
     # all 4 seeds in one batch, in chunks of 3, and one at a time
     cfg_path = write_cfg(tmp_path, bounds_cfg(tmp_path / "whole"))
     assert main(["run", cfg_path, "--out", str(tmp_path / "whole")]) == 0
-    for k, sizes_expected in ((3, [3, 1]), (1, [1, 1, 1, 1])):
+    for k, sizes_expected in ((3, [(1, 3), (1, 1)]), (1, [(1, 1)] * 4)):
         sizes = partition_seeds(k)
         assert main(["run", cfg_path, "--out", str(tmp_path / f"chunk{k}")]) == 0
         assert sizes == sizes_expected
@@ -245,6 +309,33 @@ def test_run_exit4_on_divergence(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: cell wide: seeds [0, 1, 2] diverged")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["strategy-compare", "rounds-to-target"])
+def test_run_exit4_names_first_diverged_cell(tmp_path, capsys, kind):
+    # one batch of cells: the stepsize is stable when averaging every step, but
+    # 40 and 50 local steps overflow; the error names the first of those cells
+    horizon = {"T": 400, "record_stride": 100} if kind == "strategy-compare" else {
+        "t_max": 400, "threshold": 1e-3}
+    cfg = {
+        "experiment": {"kind": kind, **horizon,
+                       "cells": [{"label": "calm", "kind": "fixed-width", "H": 1},
+                                 {"label": "wild", "kind": "fixed-width", "H": 40},
+                                 {"label": "wilder", "kind": "fixed-width", "H": 50}]},
+        "problem": {"family": "convex-quadratic", "n": 4, "d": 5, "L": 1.0, "eps_pd": 0.01,
+                    "delta": 1.0, "sigma_noise": 1.0, "seed": 0},
+        "stepsize": {"policy": "constant", "c": 40.0},
+        "seeds": [0, 1, 2],
+        "output": str(tmp_path / "res"),
+    }
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: cell wild: seeds [0, 1, 2] diverged")
+    del cfg["experiment"]["cells"][1]
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: cell wilder: seeds")
+    cfg["experiment"]["cells"] = cfg["experiment"]["cells"][:1]
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 0
 
 
 def test_run_seed_offset(tmp_path, capsys):

@@ -15,6 +15,7 @@ from localsgd_lab.engine import (
     _mean_se,
     noise_generator,
     run_batch,
+    run_cells,
     run_local_sgd,
     run_many,
 )
@@ -253,6 +254,19 @@ def test_run_validation_errors():
         run_batch(p, cfg(p, sched, ConstantStepsize(0.1, p.n, 10)), [1, 1])
     with pytest.raises(ValueError, match="seed"):
         run_batch(p, cfg(p, sched, ConstantStepsize(0.1, p.n, 10)), [])
+    # the configs of one run_cells batch differ only in schedule and record_stride
+    base = cfg(p, sched, ConstantStepsize(0.1, p.n, 10))
+    with pytest.raises(ValueError, match="config"):
+        run_cells(p, [], [0])
+    for other in (replace(base, schedule=fixed_schedule(12, 2)),
+                  replace(base, stepsize=ConstantStepsize(0.2, p.n, 10)),
+                  replace(base, track_averages=False),
+                  replace(base, x0=np.ones(p.dim))):
+        with pytest.raises(ValueError, match="must share"):
+            run_cells(p, [base, other], [0])
+    lanes = run_cells(p, [base, replace(base, schedule=fixed_schedule(10, 5), record_stride=3)],
+                      [0, 1])
+    assert [[m.seed for m in cell] for cell in lanes] == [[0, 1], [0, 1]]
 
 
 def test_diverging_run_aggregates_to_non_finite_means():
@@ -293,23 +307,35 @@ def batch_cases(draw):
                                    "nonconvex", "logistic"]))
     n = draw(st.integers(1, 5))
     d = draw(st.integers(2, 5))
-    H = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
-    stride = draw(st.integers(1, sum(H) + 1))
+    T = draw(st.integers(1, 40))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):  # (schedule, record_stride) per config
+        cuts = draw(st.lists(st.integers(1, T - 1), max_size=6, unique=True)) if T > 1 else []
+        tau = [0, *sorted(cuts), T]
+        cells.append((Schedule(tuple(b - a for a, b in zip(tau, tau[1:]))),
+                      draw(st.integers(1, T + 1))))
     track = draw(st.booleans())
     seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=5, unique=True))
-    return family, n, d, Schedule(tuple(H)), stride, track, seeds
+    rows = draw(st.sampled_from([1, 2, 3, 64]))  # snapshot rows per metric pass
+    return family, n, d, cells, track, seeds, rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(batch_cases(), st.integers(0, 50))
 def test_batch_equals_one_seed_runs(case, problem_seed):
-    family, n, d, sched, stride, track, seeds = case
+    # every (config, seed) lane of one run_cells call is its own one-seed run
+    family, n, d, cells, track, seeds, rows = case
     p = _family(family, n, d, problem_seed)
-    config = cfg(p, sched, ConstantStepsize(0.5, n, sched.T),
-                 record_stride=stride, track_averages=track)
-    batch = run_batch(p, config, seeds)
-    for m in batch:
-        assert_runs_bitwise_equal(m, run_local_sgd(p, replace(config, seed=m.seed)))
+    T = cells[0][0].T
+    configs = [cfg(p, sched, ConstantStepsize(0.5, n, T), record_stride=stride,
+                   track_averages=track) for sched, stride in cells]
+    with mock.patch.object(engine, "_SNAPSHOT_BYTES", rows * len(seeds) * n * p.dim * 8):
+        lanes = run_cells(p, configs, seeds)
+    assert len(lanes) == len(configs)
+    for config, cell in zip(configs, lanes):
+        assert [m.seed for m in cell] == seeds
+        for m in cell:
+            assert_runs_bitwise_equal(m, run_local_sgd(p, replace(config, seed=m.seed)))
 
 
 SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
@@ -439,8 +465,10 @@ _EXTREMES = [math.inf, -math.inf, math.nan, 1e308, -1e308, 1e200, -1e160, 5e-324
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 3), st.data())
-def test_mean_se_equals_fsum_reference(S, K, block, data):
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_mean_se_equals_fsum_reference(S, block, data):
+    # up to two seeds the columns skip the blocks unless they are not finite
+    K = data.draw(st.integers(block + 1, block + 8) if S <= 2 else st.integers(1, 5))
     values = data.draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_EXTREMES)),
                                 min_size=S * K, max_size=S * K))
     columns = np.array(values, dtype=float).reshape(S, K)
@@ -462,6 +490,10 @@ def test_mean_se_non_finite_columns():
     assert mean[2] == math.inf and math.isnan(se[2])        # exact sum overflows
     assert mean[3] == 1e200 / 3 and se[3] == math.inf       # mean exact, squares overflow
     assert math.isnan(mean[4]) and math.isnan(se[4])
+    # up to two seeds numpy sums the columns, with fsum's bits down to signed zeros
+    for rows in (columns[:1], columns[1:], np.array([[-0.0, 5e-324], [-0.0, 5e-324]])):
+        for got, want in zip(_mean_se(rows), fsum_mean_se(rows)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_mean_se_squares_round_like_pow():
