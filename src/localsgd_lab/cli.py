@@ -341,23 +341,23 @@ def cmd_run(args) -> int:
             rep, agg = run_bounds_experiment(problem, spec)
             write_metrics_csv(outdir / "metrics.csv", agg)
             write_bounds_csv(outdir / "bounds.csv", rep)
-            _write_meta(outdir, cfg, spec, {
+            extra = {
                 "theorem": rep.theorem,
                 "holds": rep.holds,
                 "measured": rep.measured,
                 "bound_total": rep.total,
-            })
+            }
         elif spec.kind == "rounds-to-target":
             rows = run_rounds_to_target(problem, spec)
             write_tradeoff_csv(outdir / "tradeoff.csv", rows)
-            _write_meta(outdir, cfg, spec, {
+            extra = {
                 "threshold": rows[0].threshold,
                 "measure": spec.measure,
-            })
+            }
         elif spec.kind == "speedup":
-            rows = run_speedup_experiment(spec)
+            rows, notes = run_speedup_experiment(spec)
             write_speedup_csv(outdir / "speedup.csv", rows)
-            _write_meta(outdir, cfg, spec, {"notes": spec.notes})
+            extra = {"notes": notes}
         else:
             by_label = run_strategy_compare(problem, spec)
             write_convergence_csv(outdir / "convergence.csv", by_label)
@@ -365,7 +365,13 @@ def cmd_run(args) -> int:
                 celldir = outdir / "cells" / label
                 celldir.mkdir(parents=True, exist_ok=True)
                 write_metrics_csv(celldir / "metrics.csv", agg)
-            _write_meta(outdir, cfg, spec, {})
+            extra = {}
+        if problem is not None:
+            consts = problem.constants()
+            names = ("L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "f_star")
+            extra["constants"] = {**{name: getattr(consts, name) for name in names},
+                                  "provenance": {name: consts.provenance[name] for name in names}}
+        _write_meta(outdir, cfg, spec, extra)
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
@@ -389,28 +395,36 @@ def _schedule_from_args(args) -> Schedule:
     return Schedule(tuple(args.H))
 
 
-def cmd_schedule(args) -> int:
-    try:
-        sched = _schedule_from_args(args)
-    except (ValueError, TypeError) as exc:
-        print(f"invalid schedule parameters: {exc}", file=sys.stderr)
-        return 2
-    print(f"H = {list(sched.H)}")
-    print(f"R = {sched.R}")
-    print(f"T = {sched.T}")
-    print(f"cubic_sum = {cubic_sum(sched)}")
+def _schedule_report(args) -> list[str]:
+    """The lines `localsgd schedule` prints: the schedule, its cubic sums and
+    the admissibility checks its arguments ask for."""
+    sched = _schedule_from_args(args)
+    lines = [f"H = {list(sched.H)}", f"R = {sched.R}", f"T = {sched.T}",
+             f"cubic_sum = {cubic_sum(sched)}"]
     if args.beta is not None:
-        print(f"weighted_cubic_sum = {weighted_cubic_sum(sched, args.beta)!r}")
+        lines.append(f"weighted_cubic_sum = {weighted_cubic_sum(sched, args.beta)!r}")
     if args.mu is not None and args.L is not None and args.beta is not None:
         cond = check_thm1_condition(sched, args.mu, args.L, args.beta)
-        print("round  H      cap          result")
+        lines.append("round  H      cap          result")
         for i, (h, cap, ok) in enumerate(zip(sched.H, cond.caps, cond.per_round)):
-            print(f"{i + 1:5d}  {h:5d}  {cap:<11.6g}  {'ok' if ok else 'FAIL'}")
-        print(f"thm1 all_pass = {cond.all_pass}")
+            lines.append(f"{i + 1:5d}  {h:5d}  {cap:<11.6g}  {'ok' if ok else 'FAIL'}")
+        lines.append(f"thm1 all_pass = {cond.all_pass}")
     if args.L is not None and args.c is not None and args.n_agents is not None:
         cap = check_thm2_condition(sched, args.L, args.c, args.n_agents, sched.T)
         state = "ok" if cap.ok else "FAIL"
-        print(f"thm2 cap = {cap.cap!r}  max H = {cap.max_H}  {state}")
+        lines.append(f"thm2 cap = {cap.cap!r}  max H = {cap.max_H}  {state}")
+    return lines
+
+
+def cmd_schedule(args) -> int:
+    """Exit 2, having printed nothing to stdout, when a parameter is invalid
+    (ValueError) or one the strategy needs is missing (TypeError)."""
+    try:
+        lines = _schedule_report(args)
+    except (ValueError, TypeError) as exc:
+        print(f"invalid schedule parameters: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,7 +182,6 @@ class ExperimentSpec:
     threshold: float | None = None
     threshold_auto_factor: float | None = None
     measure: str = "e"                           # rounds-to-target: r | e | h
-    notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("bounds", "rounds-to-target", "speedup", "strategy-compare"):
@@ -415,13 +414,14 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
     return rows
 
 
-def run_speedup_experiment(spec: ExperimentSpec) -> list[SpeedupRow]:
+def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict]:
     """Error vs n at fixed T, normalized by the n=1 single-worker run.
 
     The problem is rebuilt from its generator spec once per n and shared by
     every cell and the c-sweep. Families with a minimizer are scored by
     seed-mean r_T, the nonconvex family by the time-averaged squared gradient
-    norm.
+    norm. Returns the rows and the notes: under "sweeps", the c-sweep of every
+    cell that swept c, by label.
     """
     if not spec.cells:
         raise ValueError("speedup needs at least one strategy cell")
@@ -433,13 +433,14 @@ def run_speedup_experiment(spec: ExperimentSpec) -> list[SpeedupRow]:
     problems = {n: problem_from_spec({**spec.problem, "n": n}) for n in spec.n_list}
 
     rows: list[SpeedupRow] = []
+    notes: dict = {}
     for cell in spec.cells:
         sweep_note: dict = {}
         c_value: float | None = None
         if spec.stepsize_policy == "constant":
             c_value, sweep_note = _resolve_c(spec, problems[max(problems)], cell, T)
             if sweep_note:
-                spec.notes.setdefault("sweeps", {})[cell.label] = sweep_note
+                notes.setdefault("sweeps", {})[cell.label] = sweep_note
         base_mean = base_se = None
         for n, problem in problems.items():
             consts = problem.constants()
@@ -466,7 +467,7 @@ def run_speedup_experiment(spec: ExperimentSpec) -> list[SpeedupRow]:
                 mean_error=mean_err, stderr=se_err,
                 speedup=speedup, se_speedup=se_speedup, clamped=clamped,
             ))
-    return rows
+    return rows, notes
 
 
 def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, AggregateMetrics]:

@@ -1,10 +1,8 @@
 """Synthetic objective families for distributed optimization experiments.
 
 Each problem is a collection of n agent objectives f_i over a shared variable,
-f(x) = (1/n) sum_i f_i(x). Problems expose per-agent oracles (value, full
-gradient, one-draw stochastic gradient), their global averages, versions
-batched over seeds for the simulation engine (a leading seed axis, one noise
-generator per seed), and certified constants with provenance tags:
+f(x) = (1/n) sum_i f_i(x). Problems expose one batched oracle interface (see
+Problem) and certified constants with provenance tags:
 
   L            smoothness of every f_i
   mu           strong convexity of every f_i (0 when only convex)
@@ -60,6 +58,11 @@ class ProblemConstants:
             raise ValueError("sigma_bar_sq must be nonnegative")
 
 
+def _at_every_agent(x, n: int) -> np.ndarray:
+    """x (..., dim) as the (..., n, dim) points of n agents that all sit at x."""
+    return np.broadcast_to(x[..., None, :], (*x.shape[:-1], n, x.shape[-1]))
+
+
 def _standard_normals(gens, shape) -> np.ndarray:
     """(S, n, dim) block whose slice s holds the next n * dim normals of gens[s]."""
     Z = np.empty(shape)
@@ -69,19 +72,21 @@ def _standard_normals(gens, shape) -> np.ndarray:
 
 
 class Problem:
-    """Common validation and the oracle interface all families implement."""
+    """Common validation and the oracle interface all families implement.
+
+    X is (..., n, dim), agent i's point at X[..., i, :]; values(X) is (..., n)
+    and grads(X) (..., n, dim). stochastic_grads(X, gens) takes X of shape
+    (..., S, n, dim) with len(gens) == S and draws seed s's noise from gens[s]
+    once: every leading index of X shares that draw, as the configs of one
+    engine batch do. _global_value and _global_grad take x of shape (..., dim);
+    global_value and global_grad are their validated one-point views.
+    """
 
     family_tag: str
     n: int
     dim: int
     spec: dict | None
     has_gradient_noise: bool
-
-    def _check_agent(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < self.n:
-            raise IndexError(f"agent index {i} outside [0, {self.n})")
-        return i
 
     def _check_x(self, x) -> Vector:
         x = np.asarray(x, dtype=float)
@@ -90,21 +95,6 @@ class Problem:
         if not np.all(np.isfinite(x)):
             raise ValueError("x contains non-finite components")
         return x
-
-    # subclasses implement _local_value, _local_full_grad, _local_stochastic_grad,
-    # _global_value, _global_grad, full_grads, stochastic_grads, _constants.
-    # stochastic_grads(X, gens) takes X of shape (..., S, n, dim) with
-    # len(gens) == S and draws seed s's noise from gens[s] once: every leading
-    # index of X shares that draw, as the configs of one engine batch do.
-
-    def local_value(self, i: int, x) -> float:
-        return self._local_value(self._check_agent(i), self._check_x(x))
-
-    def local_full_grad(self, i: int, x) -> Vector:
-        return self._local_full_grad(self._check_agent(i), self._check_x(x))
-
-    def local_stochastic_grad(self, i: int, x, rng: np.random.Generator) -> Vector:
-        return self._local_stochastic_grad(self._check_agent(i), self._check_x(x), rng)
 
     def global_value(self, x) -> float:
         return float(self._global_value(self._check_x(x)))
@@ -153,18 +143,18 @@ class DiagonalQuadraticProblem(Problem):
         self._m = (q * c).mean(axis=0)
         self._noise_scale = self.sigma_noise / math.sqrt(self.dim)
 
-    def _local_value(self, i, x):
-        diff = x - self.c[i]
-        return 0.5 * float(self.q[i] @ (diff * diff))
+    def values(self, X) -> Vector:
+        diff = X - self.c
+        return 0.5 * np.sum(self.q * diff * diff, axis=-1)
 
-    def _local_full_grad(self, i, x):
-        return self.q[i] * (x - self.c[i])
+    def grads(self, X) -> Vector:
+        return self.q * (X - self.c)
 
-    def _local_stochastic_grad(self, i, x, rng):
-        g = self.q[i] * (x - self.c[i])
+    def stochastic_grads(self, X, gens) -> Vector:
+        G = self.grads(X)
         if self.has_gradient_noise:
-            g = g + self._noise_scale * rng.standard_normal(self.dim)
-        return g
+            G += self._noise_scale * _standard_normals(gens, X.shape[-3:])
+        return G
 
     def _global_value(self, x):
         diff = x[..., None, :] - self.c
@@ -172,15 +162,6 @@ class DiagonalQuadraticProblem(Problem):
 
     def _global_grad(self, x):
         return self._qbar * x - self._m
-
-    def full_grads(self, X) -> Vector:
-        return self.q * (X - self.c)
-
-    def stochastic_grads(self, X, gens) -> Vector:
-        G = self.q * (X - self.c)
-        if self.has_gradient_noise:
-            G += self._noise_scale * _standard_normals(gens, X.shape[-3:])
-        return G
 
     def _constants(self):
         x_star = self._m / self._qbar
@@ -250,18 +231,19 @@ class SinusoidQuadraticProblem(Problem):
         self._cbar = c.mean(axis=0)
         self._noise_scale = self.sigma_noise / math.sqrt(self.dim)
 
-    def _local_value(self, i, x):
-        diff = x - self.c[i]
-        return 0.5 * float(self.Q @ (diff * diff)) + self.eps_sin * float(np.sum(np.sin(x)))
+    def values(self, X) -> Vector:
+        diff = X - self.c
+        return (0.5 * np.sum(self.Q * diff * diff, axis=-1)
+                + self.eps_sin * np.sum(np.sin(X), axis=-1))
 
-    def _local_full_grad(self, i, x):
-        return self.Q * (x - self.c[i]) + self.eps_sin * np.cos(x)
+    def grads(self, X) -> Vector:
+        return self.Q * (X - self.c) + self.eps_sin * np.cos(X)
 
-    def _local_stochastic_grad(self, i, x, rng):
-        g = self._local_full_grad(i, x)
+    def stochastic_grads(self, X, gens) -> Vector:
+        G = self.grads(X)
         if self.has_gradient_noise:
-            g = g + self._noise_scale * rng.standard_normal(self.dim)
-        return g
+            G += self._noise_scale * _standard_normals(gens, X.shape[-3:])
+        return G
 
     def _global_value(self, x):
         diff = x[..., None, :] - self.c
@@ -270,15 +252,6 @@ class SinusoidQuadraticProblem(Problem):
 
     def _global_grad(self, x):
         return self.Q * (x - self._cbar) + self.eps_sin * np.cos(x)
-
-    def full_grads(self, X) -> Vector:
-        return self.Q * (X - self.c) + self.eps_sin * np.cos(X)
-
-    def stochastic_grads(self, X, gens) -> Vector:
-        G = self.Q * (X - self.c) + self.eps_sin * np.cos(X)
-        if self.has_gradient_noise:
-            G += self._noise_scale * _standard_normals(gens, X.shape[-3:])
-        return G
 
     def value_lower_bound(self) -> float:
         """A value no larger than inf f: quadratic part's minimum minus eps_sin * d.
@@ -347,55 +320,37 @@ class LogisticProblem(Problem):
             self.feats[i, : len(y)] = A
             self.labels[i, : len(y)] = y
 
-    @staticmethod
-    def _softmax(z):
-        z = z - z.max(axis=-1, keepdims=True)
+    def _agent(self, i, x):
+        """Agent i's samples A (m, d) and, at every leading index of x (..., dim),
+        the per-sample cross-entropies (..., m) and the softmax residuals
+        softmax(A W') minus the one-hot labels (..., m, K)."""
+        m = self.counts[i]
+        A, y = self.feats[i, :m], self.labels[i, :m]
+        z = A @ x.reshape(*x.shape[:-1], self.K, self.d).swapaxes(-1, -2)
+        z -= z.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
+        total = e.sum(axis=-1, keepdims=True)
+        rows = np.arange(m)
+        ce = np.log(total[..., 0]) - z[..., rows, y]
+        P = e / total
+        P[..., rows, y] -= 1.0
+        return A, ce, P
 
-    def _local_value(self, i, x):
-        y = self.labels[i, : self.counts[i]]
-        z = self.feats[i, : self.counts[i]] @ x.reshape(self.K, self.d).T
-        z = z - z.max(axis=1, keepdims=True)
-        logZ = np.log(np.exp(z).sum(axis=1))
-        ce = float(np.mean(logZ - z[np.arange(len(y)), y]))
-        return ce + 0.5 * self.lam * float(x @ x)
-
-    def _residuals(self, i, x):
-        """Agent i's samples A and softmax(A W') minus the one-hot labels."""
-        A = self.feats[i, : self.counts[i]]
-        y = self.labels[i, : self.counts[i]]
-        P = self._softmax(A @ x.reshape(self.K, self.d).T)
-        P[np.arange(len(y)), y] -= 1.0
-        return A, P
-
-    def _local_full_grad(self, i, x):
-        A, P = self._residuals(i, x)
-        return (P.T @ A).ravel() / len(A) + self.lam * x
-
-    def _local_stochastic_grad(self, i, x, rng):
-        j = int(rng.integers(self.counts[i]))
-        W = x.reshape(self.K, self.d)
-        a = self.feats[i, j]
-        p = self._softmax(W @ a)
-        p[self.labels[i, j]] -= 1.0
-        return np.outer(p, a).ravel() + self.lam * x
-
-    def _global_value(self, x):
-        if x.ndim == 2:
-            return np.array([self._global_value(row) for row in x])
-        return float(np.mean([self._local_value(i, x) for i in range(self.n)]))
-
-    def _global_grad(self, x):
-        if x.ndim == 2:
-            return np.stack([self._global_grad(row) for row in x])
-        g = np.zeros(self.dim)
+    def values(self, X) -> Vector:
+        out = np.empty(X.shape[:-1])
         for i in range(self.n):
-            g += self._local_full_grad(i, x)
-        return g / self.n
+            x = X[..., i, :]
+            _, ce, _ = self._agent(i, x)
+            out[..., i] = ce.mean(axis=-1) + 0.5 * self.lam * np.vecdot(x, x)
+        return out
 
-    def full_grads(self, X) -> Vector:
-        return np.stack([self._local_full_grad(i, X[i]) for i in range(self.n)])
+    def grads(self, X) -> Vector:
+        out = np.empty(X.shape)
+        for i in range(self.n):
+            x = X[..., i, :]
+            A, _, P = self._agent(i, x)
+            out[..., i, :] = (P.swapaxes(-1, -2) @ A).reshape(x.shape) / len(A) + self.lam * x
+        return out
 
     def stochastic_grads(self, X, gens) -> Vector:
         S = len(gens)
@@ -404,9 +359,16 @@ class LogisticProblem(Problem):
         W = X.reshape(*X.shape[:-1], self.K, self.d)
         a = self.feats[agents, idx]
         z = np.einsum("...snkd,snd->...snk", W, a)
-        P = self._softmax(z)
+        P = np.exp(z - z.max(axis=-1, keepdims=True))
+        P /= P.sum(axis=-1, keepdims=True)
         P[..., np.arange(S)[:, None], agents, self.labels[agents, idx]] -= 1.0
         return (P[..., None] * a[..., None, :]).reshape(X.shape) + self.lam * X
+
+    def _global_value(self, x):
+        return self.values(_at_every_agent(x, self.n)).mean(axis=-1)
+
+    def _global_grad(self, x):
+        return self.grads(_at_every_agent(x, self.n)).sum(axis=-2) / self.n
 
     def _constants(self):
         second_moments = [
@@ -416,7 +378,7 @@ class LogisticProblem(Problem):
         lam_max = max(float(np.linalg.eigvalsh(S)[-1]) for S in second_moments)
         L = self.lam + 0.25 * lam_max
         x_star = self._solve_x_star()
-        f_star = self._global_value(x_star)
+        f_star = float(self._global_value(x_star))
         sigma_bar_sq = self._mean_sq_sample_grad(x_star)
         row_norms = [
             np.linalg.norm(self.feats[i, : self.counts[i]], axis=1) for i in range(self.n)
@@ -472,7 +434,7 @@ class LogisticProblem(Problem):
         """(1/n) sum_i (1/m_i) sum_j ||grad per-sample f at x||^2, exact."""
         total = 0.0
         for i in range(self.n):
-            A, P = self._residuals(i, x)
+            A, _, P = self._agent(i, x)
             per_sample = P[:, :, None] * A[:, None, :]
             per_sample = per_sample.reshape(len(A), self.dim) + self.lam * x
             total += float(np.mean(np.sum(per_sample**2, axis=1)))

@@ -144,6 +144,8 @@ class CapConditionReport:
 
 def check_thm1_condition(schedule: Schedule, mu: float, L: float, beta: float) -> RoundConditionReport:
     """Round i passes iff H_i <= mu * (beta + tau_{i-1}) / (12 L)."""
+    if not (mu > 0 and L > 0 and beta > 0):
+        raise ValueError(f"need mu > 0, L > 0 and beta > 0, got mu={mu}, L={L}, beta={beta}")
     caps = tuple(mu * (beta + schedule.tau[i]) / (12 * L) for i in range(schedule.R))
     per_round = tuple(h <= cap for h, cap in zip(schedule.H, caps))
     return RoundConditionReport(per_round, caps, all(per_round))
@@ -151,13 +153,13 @@ def check_thm1_condition(schedule: Schedule, mu: float, L: float, beta: float) -
 
 def check_thm2_condition(schedule: Schedule, L: float, c: float, n: int, T: int) -> CapConditionReport:
     """Every round must satisfy H_i <= sqrt(T) / (7 L c sqrt(n))."""
-    cap = math.sqrt(T) / (7 * L * c * math.sqrt(n))
-    max_H = max(schedule.H)
-    return CapConditionReport(cap, max_H, max_H <= cap)
+    return check_thm3_condition(schedule, L, 1.0, c, n, T)  # the thm3 cap at B = 1, same bits
 
 
 def check_thm3_condition(schedule: Schedule, L: float, B: float, c: float, n: int, T: int) -> CapConditionReport:
     """Every round must satisfy H_i <= sqrt(T) / (7 L B c sqrt(n))."""
+    if not (L > 0 and B > 0 and c > 0 and n >= 1 and T >= 1):
+        raise ValueError(f"need L, B, c > 0 and n, T >= 1, got L={L}, B={B}, c={c}, n={n}, T={T}")
     cap = math.sqrt(T) / (7 * L * B * c * math.sqrt(n))
     max_H = max(schedule.H)
     return CapConditionReport(cap, max_H, max_H <= cap)

@@ -19,6 +19,7 @@ from localsgd_lab.cli import (
     spec_from_config,
 )
 from localsgd_lab.harness import RRule
+from localsgd_lab.objectives import problem_from_spec
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -127,6 +128,10 @@ def test_run_bounds_writes_results(tmp_path, capsys):
         + float(fields["term_schedule"]), rel=1e-12)
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["kind"] == "bounds" and meta["seeds"] == [0, 1, 2, 3]
+    consts = problem_from_spec(bounds_cfg(out)["problem"]).constants()
+    names = ["L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "f_star"]
+    assert meta["constants"] == {**{name: getattr(consts, name) for name in names},
+                                 "provenance": {name: "analytic" for name in names}}
 
 
 def test_run_exit3_names_failing_condition(tmp_path, capsys):
@@ -236,6 +241,22 @@ PINNED_MULTI_CELL = {
          "stepsize": {"policy": "inverse-time", "beta": 80.0},
          "seeds": [9, 4]},
         {"convergence.csv": "abd1d5b24761a206664abf1e472a2d71dbe96c3fefaa958bb60ea0cf70d4275c"}),
+    # pinned before the logistic oracles became one batched interface; unequal
+    # shards (8, 7, 6 samples) and track_averages cover its stochastic, value
+    # and gradient oracles and its x* solver
+    "strategy-compare-logistic": (
+        {"experiment": {"kind": "strategy-compare", "T": 60, "record_stride": 7,
+                        "cells": [{"label": "A", "kind": "fixed", "R": 6},
+                                  {"label": "B", "kind": "increasing-power", "a": 1.0, "s": 0.5},
+                                  {"label": "C", "kind": "fixed-width", "H": 4}]},
+         "problem": {"family": "logistic", "n": 3, "d": 3, "K": 4, "m": 7,
+                     "shards_per_agent": 2, "lam": 0.1, "seed": 5},
+         "stepsize": {"policy": "constant", "c": 0.5},
+         "seeds": [3, 8]},
+        {"convergence.csv": "9b901f5b03916ce81f3bd0b0fa569fb358504f7a175eec39b7a9cfed615d1263",
+         "cells/A/metrics.csv": "1b26af1785b3f8cafa5d847eb532b7d84093ce74c7d4811439211d421e811eae",
+         "cells/B/metrics.csv": "464d571c1b2fd1e4751297df437de2a5b90948075ed7ac514c401758b25f3fa8",
+         "cells/C/metrics.csv": "e410f1c63fb53efdb9d058f3633aeff85e3b3eb8b75d90348f04734eaa605951"}),
 }
 
 
@@ -268,7 +289,7 @@ def test_run_multi_cell_csv_digests_pinned(tmp_path, capsys, kind):
 def test_run_multi_cell_byte_identical_across_layouts(tmp_path, partition_seeds, capsys, kind):
     # every cell in one engine call, one cell per call, and the seeds in chunks
     cfg, _ = PINNED_MULTI_CELL[kind]
-    C, S = len(cfg["experiment"]["cells"]), {"rounds-to-target": 3, "strategy-compare": 2}[kind]
+    C, S = len(cfg["experiment"]["cells"]), len(resolve_seeds(cfg["seeds"]))
     layouts = {"whole": ((None, None), [(C, S)]),
                "per-cell": ((None, 1), [(1, S)] * C),
                "seed-chunks": ((S - 1, None), [(C, S - 1), (C, 1)])}
@@ -277,7 +298,7 @@ def test_run_multi_cell_byte_identical_across_layouts(tmp_path, partition_seeds,
         sizes = partition_seeds(k, cells)
         digests[name] = run_digests(tmp_path, cfg, name)
         assert sizes == sizes_expected, name
-    assert len(digests["whole"]) == {"rounds-to-target": 1, "strategy-compare": 1 + C}[kind]
+    assert len(digests["whole"]) == (1 if kind == "rounds-to-target" else 1 + C)
     assert digests["per-cell"] == digests["whole"] == digests["seed-chunks"]
 
 
@@ -364,6 +385,8 @@ def test_run_rounds_to_target_outputs(tmp_path, capsys):
     assert len(lines) == 3
     unit = lines[1].split(",")
     assert unit[0] == "unit" and unit[1] == unit[2]  # H=1: rounds == iterations
+    meta = json.loads((tmp_path / "res" / "run_meta.json").read_text())
+    assert meta["constants"]["mu"] == 0.5 and meta["constants"]["provenance"]["mu"] == "analytic"
 
 
 def test_run_strategy_compare_writes_cells(tmp_path, capsys):
@@ -385,6 +408,10 @@ def test_run_strategy_compare_writes_cells(tmp_path, capsys):
     for label in ("A", "B"):
         lines = (root / "cells" / label / "metrics.csv").read_text().splitlines()
         assert lines[0] == "seed,t,r,e,V,h,is_comm_round"
+    constants = json.loads((root / "run_meta.json").read_text())["constants"]
+    assert set(constants) == {"L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "f_star",
+                              "provenance"}
+    assert set(constants["provenance"]) == set(constants) - {"provenance"}
 
 
 def test_run_speedup_csv_layout(tmp_path, capsys):
@@ -405,6 +432,8 @@ def test_run_speedup_csv_layout(tmp_path, capsys):
     assert lines[0] == "label,n,R,strategy,mean_error,stderr,speedup,se_speedup,clamped"
     first = lines[1].split(",")
     assert first[1] == "1" and float(first[6]) == 1.0
+    meta = json.loads((tmp_path / "res" / "run_meta.json").read_text())
+    assert meta["notes"] == {} and "constants" not in meta  # one problem per n
 
 
 def test_schedule_command_prints(capsys):
@@ -427,6 +456,18 @@ def test_schedule_condition_table(capsys):
 def test_schedule_invalid_exit2(capsys):
     assert main(["schedule", "fixed", "--T", "10", "--R", "100"]) == 2
     assert main(["schedule", "explicit"]) == 2
+
+
+@pytest.mark.parametrize("report_args", [
+    ["--beta", "0"], ["--beta", "-1"],
+    ["--mu", "0", "--L", "1", "--beta", "5"], ["--mu", "1", "--L", "0", "--beta", "5"],
+    ["--L", "1", "--c", "0", "--n-agents", "2"], ["--L", "0", "--c", "1", "--n-agents", "2"],
+    ["--L", "1", "--c", "1", "--n-agents", "0"]])
+def test_schedule_invalid_report_parameter_exit2(capsys, report_args):
+    # main returns instead of raising, so no traceback; nothing of the report is printed
+    assert main(["schedule", "fixed", "--T", "10", "--R", "2", *report_args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid schedule parameters: need ")
 
 
 def test_plotdata_speedup_reference(tmp_path, capsys):

@@ -306,7 +306,7 @@ def test_speedup_baseline_is_exactly_one():
         kind="speedup", problem=SC_SPEC, seeds=tuple(range(6)),
         stepsize_policy="constant", c=0.5, n_list=(1, 2, 4), T=300,
         cells=(StrategyCell(label="f", kind="fixed", r_rule=RRule(1.0, 0.5, 0.5)),))
-    rows = run_speedup_experiment(spec)
+    rows, _ = run_speedup_experiment(spec)
     assert [r.n for r in rows] == [1, 2, 4]
     assert rows[0].speedup == 1.0 and rows[0].se_speedup == 0.0
     assert all(r.label == "f" and r.strategy == "fixed" for r in rows)
@@ -320,7 +320,7 @@ def test_speedup_error_decreases_with_n():
         seeds=tuple(range(10)), stepsize_policy="constant", c=1.0,
         n_list=(1, 4, 16), T=800,
         cells=(StrategyCell(label="f", kind="fixed", r_rule=RRule(1.0, 0.5, 0.5)),))
-    rows = run_speedup_experiment(spec)
+    rows, _ = run_speedup_experiment(spec)
     errs = [r.mean_error for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert rows[2].speedup > rows[1].speedup > 1.0
@@ -331,7 +331,7 @@ def test_speedup_propagates_stderr():
         kind="speedup", problem=SC_SPEC, seeds=tuple(range(5)),
         stepsize_policy="constant", c=0.5, n_list=(1, 2), T=100,
         cells=(StrategyCell(label="f", kind="fixed", R=10),))
-    rows = run_speedup_experiment(spec)
+    rows, _ = run_speedup_experiment(spec)
     b, m = rows[0], rows[1]
     want = m.speedup * math.sqrt((b.stderr / b.mean_error) ** 2
                                  + (m.stderr / m.mean_error) ** 2)
@@ -343,7 +343,7 @@ def test_speedup_clamp_flag_and_missing_baseline():
         kind="speedup", problem=SC_SPEC, seeds=(0, 1),
         stepsize_policy="constant", c=0.5, n_list=(1, 2), T=50,
         cells=(StrategyCell(label="f", kind="fixed", r_rule=RRule(100.0, 1.0, 0.0)),))
-    rows = run_speedup_experiment(spec)
+    rows, _ = run_speedup_experiment(spec)
     assert all(r.clamped and r.R == 50 for r in rows)
     with pytest.raises(ValueError):
         run_speedup_experiment(ExperimentSpec(
@@ -357,8 +357,8 @@ def test_speedup_c_sweep_picks_lowest_error():
         kind="speedup", problem=SC_SPEC, seeds=tuple(range(4)),
         stepsize_policy="constant", c=(0.01, 0.3), n_list=(1, 2), T=200,
         cells=(StrategyCell(label="f", kind="fixed", R=20),))
-    rows = run_speedup_experiment(spec)
-    note = spec.notes["sweeps"]["f"]
+    rows, notes = run_speedup_experiment(spec)
+    note = notes["sweeps"]["f"]
     errs = dict(zip(note["swept_c"], note["sweep_errors"]))
     assert note["chosen_c"] == min(errs, key=lambda c: (errs[c], c))
     assert len(rows) == 2
@@ -369,8 +369,8 @@ def test_sweep_ranks_diverged_c_last_and_runs_raise_on_divergence():
         kind="speedup", problem=SC_SPEC, seeds=tuple(range(3)),
         stepsize_policy="constant", c=(500.0, 0.3), n_list=(1, 2), T=200,
         cells=(StrategyCell(label="f", kind="fixed", R=20),))
-    run_speedup_experiment(spec)
-    note = spec.notes["sweeps"]["f"]
+    _, notes = run_speedup_experiment(spec)
+    note = notes["sweeps"]["f"]
     assert note["chosen_c"] == 0.3
     assert dict(zip(note["swept_c"], note["sweep_errors"]))[500.0] == math.inf
     with pytest.raises(DivergenceError, match=r"cell f: seeds \[0, 1, 2\] diverged"):

@@ -1,7 +1,7 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsgd_lab.objectives import (
     DiagonalQuadraticProblem,
@@ -25,12 +25,19 @@ def hand_quadratic(sigma_noise=0.3):
 
 
 def fd_grad(f, x, h=1e-5):
+    """Central differences of f at x (..., dim); f gives one value per leading
+    index, so f = values differentiates every agent at its own row of x."""
     g = np.zeros_like(x)
-    for k in range(len(x)):
-        e = np.zeros_like(x)
+    for k in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
         e[k] = h
-        g[k] = (f(x + e) - f(x - e)) / (2 * h)
+        g[..., k] = (f(x + e) - f(x - e)) / (2 * h)
     return g
+
+
+def at_every_agent(x, n):
+    """x (..., dim) as the (..., n, dim) points of n agents that all sit at x."""
+    return np.repeat(x[..., None, :], n, axis=-2)
 
 
 def all_test_problems():
@@ -52,8 +59,8 @@ def test_hand_quadratic_oracles():
     np.testing.assert_allclose(k.x_star, [0.0, 0.0], atol=1e-15)
     assert k.f_star == pytest.approx(0.5)
     assert k.sigma_bar_sq == pytest.approx(1.09)
-    assert p.local_value(0, [0.0, 0.0]) == pytest.approx(0.5)
-    np.testing.assert_allclose(p.local_full_grad(0, [0.0, 0.0]), [-1.0, 0.0])
+    np.testing.assert_allclose(p.values(np.zeros((2, 2))), [0.5, 0.5])
+    np.testing.assert_allclose(p.grads(np.zeros((2, 2))), [[-1.0, 0.0], [1.0, 0.0]])
     np.testing.assert_allclose(p.global_grad([2.0, 3.0]), [2.0, 3.0])
     assert p.global_value([0.0, 0.0]) == pytest.approx(0.5)
 
@@ -66,17 +73,12 @@ def test_homogeneous_single_agent_has_zero_G():
     assert k.B >= 1.0
 
 
-def test_agent_index_and_x_validation():
+def test_x_validation():
     for p in all_test_problems():
-        x = np.zeros(p.dim)
-        with pytest.raises(IndexError):
-            p.local_value(p.n, x)
-        with pytest.raises(IndexError):
-            p.local_full_grad(-1, x)
         with pytest.raises(ValueError):
             p.global_value(np.full(p.dim, np.nan))
         with pytest.raises(ValueError):
-            p.local_value(0, np.zeros(p.dim + 1))
+            p.global_grad(np.zeros(p.dim + 1))
 
 
 def test_constants_invariants_all_families():
@@ -135,41 +137,94 @@ def test_convex_family_impossible_eps_raises():
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     for p in all_test_problems():
-        x = rng.standard_normal(p.dim)
-        for i in range(p.n):
-            g = p.local_full_grad(i, x)
-            fd = fd_grad(lambda z, i=i: p.local_value(i, z), x)
-            assert np.linalg.norm(fd - g) / (1 + np.linalg.norm(g)) < 1e-6
+        X = rng.standard_normal((p.n, p.dim))  # a point of its own per agent
+        G = p.grads(X)
+        fd = fd_grad(p.values, X)
+        assert np.all(np.linalg.norm(fd - G, axis=1) / (1 + np.linalg.norm(G, axis=1)) < 1e-6)
+        x = X[0]
         g = p.global_grad(x)
         fd = fd_grad(p.global_value, x)
         assert np.linalg.norm(fd - g) / (1 + np.linalg.norm(g)) < 1e-6
 
 
-def test_global_is_mean_of_locals():
-    rng = np.random.default_rng(0)
-    for p in all_test_problems():
-        x = rng.standard_normal(p.dim)
-        vals = [p.local_value(i, x) for i in range(p.n)]
-        assert p.global_value(x) == pytest.approx(np.mean(vals), rel=1e-12)
-        grads = np.stack([p.local_full_grad(i, x) for i in range(p.n)])
-        np.testing.assert_allclose(p.global_grad(x), grads.mean(axis=0), rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(p.full_grads(np.tile(x, (p.n, 1))), grads,
-                                   rtol=1e-12, atol=1e-14)
+def family_problem(family, n, d, seed):
+    """A noisy problem of the family with n agents; the logistic one has 3 * d variables."""
+    if family == "strongly-convex-quadratic":
+        return make_strongly_convex_quadratics(n=n, d=d, mu=0.2, L=1.0, delta=1.0,
+                                               sigma_noise=0.7, seed=seed)
+    if family == "convex-quadratic":
+        return make_convex_quadratics(n=n, d=d, L=1.0, eps_pd=0.01, delta=1.0,
+                                      sigma_noise=0.7, seed=seed)
+    if family == "nonconvex":
+        return make_nonconvex_family(n=n, d=d, Q_diag=np.linspace(0.2, 1.0, d), delta=1.0,
+                                     eps_sin=0.3, sigma_noise=0.7, seed=seed)
+    return make_logistic_family(n=n, d=d, K=3, m=6, shards_per_agent=2, lam=0.2, seed=seed)
+
+
+@st.composite
+def oracle_cases(draw):
+    family = draw(st.sampled_from(["strongly-convex-quadratic", "convex-quadratic",
+                                   "nonconvex", "logistic"]))
+    n, d = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    k, S = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (k,), (k, S)]))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    return family, n, d, k, S, lead, scale, draw(st.integers(0, 50)), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_cases())
+def test_batched_oracle_interface(case):
+    family, n, d, k, S, lead, scale, problem_seed, draw_seed = case
+    p = family_problem(family, n, d, problem_seed)
+    rng = np.random.default_rng(draw_seed)
+    # every leading index of X is evaluated on its own, bit for bit
+    X = rng.standard_normal((*lead, n, p.dim)) * scale
+    V, G = p.values(X), p.grads(X)
+    assert V.shape == (*lead, n) and G.shape == X.shape
+    for idx in np.ndindex(*lead):
+        assert p.values(X[idx]).tobytes() == V[idx].tobytes()
+        assert p.grads(X[idx]).tobytes() == G[idx].tobytes()
+    # f and its gradient are the agents' means: bitwise where they are computed
+    # that way (logistic), to rounding where they have closed forms
+    x = X[..., 0, :]
+    value, grad = p._global_value(x), p._global_grad(x)
+    mean_value = p.values(at_every_agent(x, n)).mean(axis=-1)
+    mean_grad = p.grads(at_every_agent(x, n)).mean(axis=-2)
+    assert np.shape(value) == lead and grad.shape == x.shape
+    if family == "logistic":
+        assert np.asarray(value).tobytes() == mean_value.tobytes()
+        assert grad.tobytes() == mean_grad.tobytes()
+    else:
+        np.testing.assert_allclose(value, mean_value, rtol=1e-12)
+        np.testing.assert_allclose(grad, mean_grad, rtol=1e-12,
+                                   atol=1e-14 * (1 + np.abs(mean_grad).max()))
+    # row c of a (k, S, n, dim) call shares seed s's draw with the (S, n, dim) call
+    X4 = rng.standard_normal((k, S, n, p.dim)) * scale
+
+    def gens():
+        return [np.random.default_rng([draw_seed, s]) for s in range(S)]
+
+    G4 = p.stochastic_grads(X4, gens())
+    for c in range(k):
+        assert p.stochastic_grads(X4[c], gens()).tobytes() == G4[c].tobytes()
 
 
 def test_stochastic_grad_unbiased_light():
-    # 4000 draws at 5 sigma; the heavyweight 1e5-draw check lives in acceptance
+    # 4000 draws per agent (40 calls through 100 generators) at 5 sigma; the
+    # heavyweight 1e5-draw check lives in acceptance
     rng = np.random.default_rng(123)
+    N, S = 4000, 100
     for p in all_test_problems():
-        x = rng.standard_normal(p.dim) * 0.5
-        i = p.n - 1
-        exact = p.local_full_grad(i, x)
-        N = 4000
-        draws = np.stack([p.local_stochastic_grad(i, x, rng) for _ in range(N)])
-        dev = np.linalg.norm(draws.mean(axis=0) - exact)
-        second = float(np.mean(np.sum((draws - exact) ** 2, axis=1)))
-        tol = 5 * math.sqrt(max(second, 1e-30) / N)
-        assert dev <= tol, f"{p.family_tag}: |mean - grad| = {dev} > {tol}"
+        X = at_every_agent(rng.standard_normal(p.dim) * 0.5, p.n)
+        exact = p.grads(X)
+        gens = [np.random.default_rng([123, s]) for s in range(S)]
+        draws = np.concatenate([p.stochastic_grads(np.stack([X] * S), gens)
+                                for _ in range(N // S)])
+        dev = np.linalg.norm(draws.mean(axis=0) - exact, axis=1)
+        second = np.mean(np.sum((draws - exact) ** 2, axis=2), axis=0)
+        tol = 5 * np.sqrt(np.maximum(second, 1e-30) / N)
+        assert np.all(dev <= tol), f"{p.family_tag}: |mean - grad| = {dev} > {tol}"
 
 
 def test_logistic_stochastic_grad_enumerates_to_full_grad():
@@ -184,17 +239,17 @@ def test_logistic_stochastic_grad_enumerates_to_full_grad():
             prob /= prob.sum()
             prob[p.labels[i, j]] -= 1.0
             per_sample.append(np.outer(prob, a).ravel() + p.lam * x)
-        np.testing.assert_allclose(np.mean(per_sample, axis=0), p.local_full_grad(i, x),
+        np.testing.assert_allclose(np.mean(per_sample, axis=0), p.grads(at_every_agent(x, p.n))[i],
                                    rtol=1e-10, atol=1e-12)
 
 
 def test_quadratic_noise_second_moment():
     p = hand_quadratic(sigma_noise=0.7)
-    rng = np.random.default_rng(9)
-    x = np.array([0.3, -0.2])
-    exact = p.local_full_grad(0, x)
-    draws = np.stack([p.local_stochastic_grad(0, x, rng) for _ in range(20000)])
-    second = np.mean(np.sum((draws - exact) ** 2, axis=1))
+    X = at_every_agent(np.array([0.3, -0.2]), p.n)
+    gens = [np.random.default_rng([9, s]) for s in range(100)]
+    # 20000 draws: 100 calls through 100 generators, two agents each
+    draws = np.concatenate([p.stochastic_grads(np.stack([X] * 100), gens) for _ in range(100)])
+    second = np.mean(np.sum((draws - p.grads(X)) ** 2, axis=2))
     assert second == pytest.approx(0.49, rel=0.05)
 
 
@@ -203,22 +258,20 @@ def test_nonconvex_bgd_identity_exact():
                               delta=1.3, eps_sin=0.4, sigma_noise=0.2, seed=8)
     k = p.constants()
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        x = rng.standard_normal(p.dim) * rng.uniform(0.1, 5)
-        lhs = np.mean([np.sum(p.local_full_grad(i, x) ** 2) for i in range(p.n)])
-        rhs = np.sum(p.global_grad(x) ** 2) + k.G**2
-        assert abs(lhs - rhs) <= 1e-9 * (1 + rhs)
+    xs = rng.standard_normal((100, p.dim)) * rng.uniform(0.1, 5, size=(100, 1))
+    lhs = np.mean(np.sum(p.grads(at_every_agent(xs, p.n)) ** 2, axis=2), axis=1)
+    rhs = np.sum(p._global_grad(xs) ** 2, axis=1) + k.G**2
+    assert np.all(np.abs(lhs - rhs) <= 1e-9 * (1 + rhs))
 
 
 def test_bgd_inequality_quadratics_and_logistic():
     rng = np.random.default_rng(4)
     for p in all_test_problems():
         k = p.constants()
-        for _ in range(200):
-            x = rng.standard_normal(p.dim) * rng.uniform(0.1, 3)
-            lhs = np.mean([np.sum(p.local_full_grad(i, x) ** 2) for i in range(p.n)])
-            rhs = k.G**2 + k.B**2 * np.sum(p.global_grad(x) ** 2)
-            assert lhs <= rhs * (1 + 1e-9), f"{p.family_tag}: {lhs} > {rhs}"
+        xs = rng.standard_normal((200, p.dim)) * rng.uniform(0.1, 3, size=(200, 1))
+        lhs = np.mean(np.sum(p.grads(at_every_agent(xs, p.n)) ** 2, axis=2), axis=1)
+        rhs = k.G**2 + k.B**2 * np.sum(p._global_grad(xs) ** 2, axis=1)
+        assert np.all(lhs <= rhs * (1 + 1e-9)), f"{p.family_tag}: {lhs} > {rhs}"
 
 
 def _quadratic_pair_checks(p, n_pairs=10_000):
