@@ -161,6 +161,8 @@ CONFIG_SCHEMA = {
         "output": {"type": "string"},
     },
 }
+# built once: jsonschema.validate would check CONFIG_SCHEMA against its metaschema per call
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -177,9 +179,8 @@ def load_config(path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if exc is not None:
         raise ConfigError(f"config schema violation at {exc.json_path}: "
                           f"{exc.message}") from exc
     return cfg

@@ -9,13 +9,13 @@ lanes share one state array of shape (C, S, n, d) that advances in one numpy
 pass per step. Each step averages only the configs that communicate after it.
 
 Gradient noise at step t comes from a counter-based generator keyed by
-(seed, t), with agent i reading row i of the step's noise block. A step draws
-each seed's block once, and every config of the batch uses it: the oracles
-take X of shape (..., S, n, dim) with one generator per seed, and every
-leading index shares seed s's draw. So a lane's trajectory is bit-identical
-regardless of schedule, recording stride, or which configs and seeds share
-its batch: running them all at once, in chunks, or one at a time writes the
-same bytes. RunMetrics.wall_time is the wall time of the whole batch.
+(seed, t), with agent i reading row i of the step's noise block. It does not
+depend on the state, so every seed's blocks for a run of steps are drawn ahead
+into one buffer of about 64 KiB, and each step hands its (S, ...) row to
+stochastic_grads for every config. So a lane's trajectory is bit-identical
+regardless of schedule, recording stride, buffer size, or which configs and
+seeds share its batch: running them all at once, in chunks, or one at a time
+writes the same bytes. RunMetrics.wall_time is the wall time of the whole batch.
 
 Recorded series (sampled at t = 0, multiples of record_stride, every
 communication instant, and t = T). A record point only copies the (S, n, d)
@@ -44,6 +44,7 @@ from .objectives import Problem
 from .schedules import Schedule
 
 _SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
+_NOISE_BYTES = 64 * 1024  # noise drawn ahead of the step loop, all seeds of a run of steps
 _MEAN_SE_COLUMNS = 1024  # columns per _mean_se pass; bounds its lists of Python floats
 _SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
 
@@ -86,24 +87,20 @@ class _StepNoise:
     """Philox generator rekeyed per step.
 
     at_step(t) yields the same stream as Generator(Philox(key=[seed, t])) but
-    reuses one bit generator; rekeying resets the counter and draw buffer.
+    reuses one bit generator; rekeying zeroes the counter and empties the draw
+    buffer, through a state of Python ints, which the setter reads faster.
     """
 
     def __init__(self, seed: int):
-        key = np.zeros(2, dtype=np.uint64)
-        key[0] = np.uint64(seed)
-        self._bg = np.random.Philox(key=key)
+        self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-        self._key = self._state["state"]["key"]
-        self._counter = self._state["state"]["counter"]
+        self._key = [int(seed), 0]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": (0, 0, 0, 0), "key": self._key},
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def at_step(self, t: int) -> np.random.Generator:
         self._key[1] = t
-        self._counter[:] = 0
-        self._state["buffer_pos"] = 4
-        self._state["has_uint32"] = 0
-        self._state["uinteger"] = 0
         self._bg.state = self._state
         return self._gen
 
@@ -228,9 +225,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     Each (config, seed) pair is a lane, and all lanes share one (C, S, n, d)
     state that every step advances in one numpy pass. The configs must share
     n, x0, T, the stepsize and track_averages; they may differ in schedule and
-    record_stride, and config.seed is ignored. Each step draws seed s's noise
-    once, from its own (seed, t) stream, for every config, so a lane's metrics
-    are bitwise those of the one-config, one-seed batch.
+    record_stride, and config.seed is ignored. Seed s's noise for step t is
+    drawn once, from its own (seed, t) stream, for every config, so a lane's
+    metrics are bitwise those of the one-config, one-seed batch.
     """
     configs = list(configs)
     seeds = [int(s) for s in seeds]
@@ -277,10 +274,12 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     filled = [0] * C
 
     # what happens after step t - 1, one plan per distinct column of (comm; record):
-    # the configs averaged and the configs recorded, each None (no config),
-    # Ellipsis (every config) or their indices, and the recorded configs' indices
+    # the configs averaged and the configs recorded, each None (no config), a slice
+    # (a run of configs, indexed as a view) or their indices, and the recorded indices
     def lanes(mask):
-        return None if not mask.any() else ... if mask.all() else np.flatnonzero(mask)
+        ids = np.flatnonzero(mask)
+        run = len(ids) and ids[-1] - ids[0] == len(ids) - 1
+        return slice(ids[0], ids[-1] + 1) if run else ids if len(ids) else None
 
     packed = np.ascontiguousarray(np.packbits(np.vstack([comm, record]), axis=0).T)
     _, first_t, plan_at = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
@@ -291,7 +290,10 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
 
     X = np.tile(first.x0, (C, S, n, 1))
     Y = X[0] if C == 1 else X  # the stepped view; one config skips broadcasting a unit axis
-    noises = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else None
+    noise = None
+    steppers = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else []
+    # block[j] is the (S, ...) noise of step t + j, drawn at the t that len(block) divides
+    block = problem.noise_block(max(1, min(T, _NOISE_BYTES // problem.noise_block(S).nbytes)), S)
     grads = problem.stochastic_grads
     eta_at = first.stepsize.at
     value = problem._global_value
@@ -317,7 +319,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         """Series of the held rows at once, (k, S, ...) -> each config's columns."""
         nonlocal held
         Xs = snaps[:held]
-        xbar = Xs.mean(axis=2)
+        xbar = np.add.reduce(Xs, axis=2) / n  # ndarray.mean's bits, without its wrapper
         diff = Xs - xbar[:, :, None]
         dref = Xs - ref
         rv = xbar - ref
@@ -350,23 +352,28 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         snapshot(..., np.arange(C))  # every config records t = 0
         for t in range(T):
             if track:
-                xbar = X.mean(axis=2).reshape(-1, d)
+                xbar = (np.add.reduce(X, axis=2) / n).reshape(-1, d)
                 g = grad(xbar)
                 sum_h.add(np.vecdot(g, g))
                 if have_star:
                     sum_e.add(value(xbar) - f_star)
-            gens = [noise.at_step(t) for noise in noises] if noises is not None else None
-            G = grads(Y, gens)
+            if steppers:
+                j = t % len(block)
+                if not j:
+                    problem.draw_noise((stepper.at_step(u) for u in range(t, min(T, t + len(block)))
+                                        for stepper in steppers), block[:T - t])
+                noise = block[j]
+            G = grads(Y, noise)
             G *= eta_at(t)
             Y -= G
             avg, rec, ids = plan[t + 1]
             if avg is not None:
-                X[avg] = X[avg].mean(axis=2, keepdims=True)
+                X[avg] = np.add.reduce(X[avg], axis=2, keepdims=True) / n
             if rec is not None:
                 snapshot(rec, ids)
         if held:
             flush()
-        final_x_bar = X.mean(axis=2)
+        final_x_bar = np.add.reduce(X, axis=2) / n
     wall = time.perf_counter() - wall
 
     nan_lanes = np.full((C, S), np.nan).tolist()

@@ -192,6 +192,9 @@ class ExperimentSpec:
         if len(set(seeds)) != len(seeds):
             raise ValueError("seeds must be distinct")
         object.__setattr__(self, "seeds", seeds)
+        labels = [cell.label for cell in self.cells]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"cell labels must be distinct, got {labels}")
         if self.n_list:
             nl = tuple(int(v) for v in self.n_list)
             if list(nl) != sorted(set(nl)):

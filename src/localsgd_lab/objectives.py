@@ -63,23 +63,17 @@ def _at_every_agent(x, n: int) -> np.ndarray:
     return np.broadcast_to(x[..., None, :], (*x.shape[:-1], n, x.shape[-1]))
 
 
-def _standard_normals(gens, shape) -> np.ndarray:
-    """(S, n, dim) block whose slice s holds the next n * dim normals of gens[s]."""
-    Z = np.empty(shape)
-    for gen, z in zip(gens, Z):
-        gen.standard_normal(out=z)
-    return Z
-
-
 class Problem:
     """Common validation and the oracle interface all families implement.
 
     X is (..., n, dim), agent i's point at X[..., i, :]; values(X) is (..., n)
-    and grads(X) (..., n, dim). stochastic_grads(X, gens) takes X of shape
-    (..., S, n, dim) with len(gens) == S and draws seed s's noise from gens[s]
-    once: every leading index of X shares that draw, as the configs of one
-    engine batch do. _global_value and _global_grad take x of shape (..., dim);
-    global_value and global_grad are their validated one-point views.
+    and grads(X) (..., n, dim). The stochastic oracle is a point-free draw,
+    draw_noise(gens, out), which fills a noise_block(*lead) with one row per
+    generator in C order (here (n, dim) normals times _noise_scale), and an
+    apply, stochastic_grads(X, noise), with X of shape (..., S, n, dim) and one
+    (S, ...) row of noise that every leading index shares, as the configs of
+    one engine batch do. _global_value and _global_grad take x of shape
+    (..., dim); global_value and global_grad are their validated one-point views.
     """
 
     family_tag: str
@@ -101,6 +95,14 @@ class Problem:
 
     def global_grad(self, x) -> Vector:
         return self._global_grad(self._check_x(x))
+
+    def noise_block(self, *lead) -> np.ndarray:
+        return np.empty((*lead, self.n, self.dim))
+
+    def draw_noise(self, gens, out: np.ndarray) -> None:
+        for gen, z in zip(gens, out.reshape(-1, self.n, self.dim)):
+            gen.standard_normal(out=z)
+        out *= self._noise_scale
 
     def constants(self) -> ProblemConstants:
         cached = getattr(self, "_constants_cache", None)
@@ -150,10 +152,10 @@ class DiagonalQuadraticProblem(Problem):
     def grads(self, X) -> Vector:
         return self.q * (X - self.c)
 
-    def stochastic_grads(self, X, gens) -> Vector:
+    def stochastic_grads(self, X, noise) -> Vector:
         G = self.grads(X)
         if self.has_gradient_noise:
-            G += self._noise_scale * _standard_normals(gens, X.shape[-3:])
+            G += noise
         return G
 
     def _global_value(self, x):
@@ -239,10 +241,10 @@ class SinusoidQuadraticProblem(Problem):
     def grads(self, X) -> Vector:
         return self.Q * (X - self.c) + self.eps_sin * np.cos(X)
 
-    def stochastic_grads(self, X, gens) -> Vector:
+    def stochastic_grads(self, X, noise) -> Vector:
         G = self.grads(X)
         if self.has_gradient_noise:
-            G += self._noise_scale * _standard_normals(gens, X.shape[-3:])
+            G += noise
         return G
 
     def _global_value(self, x):
@@ -289,7 +291,7 @@ class LogisticProblem(Problem):
     The variable is the flattened (K, d) weight matrix; agent i holds m_i
     samples and f_i(x) = mean cross-entropy + (lam/2)||x||^2. The one-draw
     stochastic gradient picks a uniform local sample and keeps the exact
-    ridge term.
+    ridge term; its noise is that sample's index, an int64 (*lead, n) block.
     """
 
     def __init__(self, features: list, labels: list, K: int, lam: float,
@@ -352,10 +354,16 @@ class LogisticProblem(Problem):
             out[..., i, :] = (P.swapaxes(-1, -2) @ A).reshape(x.shape) / len(A) + self.lam * x
         return out
 
-    def stochastic_grads(self, X, gens) -> Vector:
-        S = len(gens)
+    def noise_block(self, *lead) -> np.ndarray:
+        return np.empty((*lead, self.n), dtype=np.int64)
+
+    def draw_noise(self, gens, out: np.ndarray) -> None:
+        for gen, row in zip(gens, out.reshape(-1, self.n)):
+            row[:] = gen.integers(0, self.counts)
+
+    def stochastic_grads(self, X, idx) -> Vector:
+        S = len(idx)
         agents = np.arange(self.n)
-        idx = np.stack([gen.integers(0, self.counts) for gen in gens])
         W = X.reshape(*X.shape[:-1], self.K, self.d)
         a = self.feats[agents, idx]
         z = np.einsum("...snkd,snd->...snk", W, a)

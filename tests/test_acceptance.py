@@ -267,8 +267,10 @@ def test_ac7_oracle_unbiasedness_and_gradients():
         gens = [np.random.default_rng([77, k, s]) for s in range(S)]
         acc = np.zeros((p.n, p.dim))
         second = np.zeros(p.n)
+        noise = p.noise_block(S)
         for _ in range(N // S):
-            err = p.stochastic_grads(X, gens) - exact
+            p.draw_noise(gens, noise)
+            err = p.stochastic_grads(X, noise) - exact
             acc += err.sum(axis=0)
             second += np.sum(err**2, axis=(0, 2))
         dev = np.linalg.norm(acc / N, axis=1)

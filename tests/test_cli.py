@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import localsgd_lab
 from localsgd_lab.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
     load_config,
     main,
@@ -156,6 +158,18 @@ def test_run_exit2_on_schema_violation(tmp_path, capsys):
     cfg["experiment"]["surprise"] = True
     assert main(["run", write_cfg(tmp_path, cfg)]) == 2
     assert "surprise" in capsys.readouterr().err
+
+
+def test_config_schema_passes_its_metaschema(tmp_path):
+    # load_config validates with a validator built once, without this check
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+    cfg = bounds_cfg(tmp_path / "o")
+    cfg["seeds"]["count"] = 0
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        load_config(write_cfg(tmp_path, cfg))
+    assert str(got.value) == f"config schema violation at {ref.value.json_path}: {ref.value.message}"
 
 
 def test_run_exit2_on_missing_parameter_or_block(tmp_path, capsys):
@@ -414,8 +428,8 @@ def test_run_strategy_compare_writes_cells(tmp_path, capsys):
     assert set(constants["provenance"]) == set(constants) - {"provenance"}
 
 
-def test_run_speedup_csv_layout(tmp_path, capsys):
-    cfg = {
+def speedup_cfg(outdir):
+    return {
         "experiment": {"kind": "speedup", "T": 100, "n_list": [1, 2],
                        "cells": [{"label": "f", "kind": "fixed",
                                   "r_rule": {"coef": 1.0, "T_exp": 0.5,
@@ -425,8 +439,28 @@ def test_run_speedup_csv_layout(tmp_path, capsys):
                     "seed": 7},
         "stepsize": {"policy": "constant", "c": 0.5},
         "seeds": {"count": 4},
-        "output": str(tmp_path / "res"),
+        "output": str(outdir),
     }
+
+
+@pytest.mark.parametrize("kind", ["rounds-to-target", "speedup", "strategy-compare"])
+def test_run_exit2_on_repeated_cell_label(tmp_path, capsys, kind):
+    # a second cell labelled like the first would overwrite its results
+    if kind == "speedup":
+        cfg = speedup_cfg(tmp_path / "res")
+        cfg["experiment"]["cells"].append({"label": "f", "kind": "fixed-width", "H": 2})
+    else:
+        cfg = json.loads(json.dumps(PINNED_MULTI_CELL[kind][0]))
+        cells = cfg["experiment"]["cells"]
+        cells[1]["label"] = cells[0]["label"]
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "cell labels must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_speedup_csv_layout(tmp_path, capsys):
+    cfg = speedup_cfg(tmp_path / "res")
     assert main(["run", write_cfg(tmp_path, cfg)]) == 0
     lines = (tmp_path / "res" / "speedup.csv").read_text().splitlines()
     assert lines[0] == "label,n,R,strategy,mean_error,stderr,speedup,se_speedup,clamped"

@@ -373,8 +373,11 @@ def per_record_series(p, config, seeds):
     with np.errstate(over="ignore", invalid="ignore"):
         record()
         for t in range(T):
-            gens = [noise_generator(s, t) for s in seeds] if p.has_gradient_noise else None
-            G = p.stochastic_grads(X, gens)
+            noise = None
+            if p.has_gradient_noise:
+                noise = p.noise_block(S)
+                p.draw_noise([noise_generator(s, t) for s in seeds], noise)
+            G = p.stochastic_grads(X, noise)
             G *= config.stepsize.at(t)
             X -= G
             if t + 1 in comm:
@@ -418,6 +421,51 @@ def test_chunked_metrics_equal_per_record_metrics(case, problem_seed, track):
     with mock.patch.object(engine, "_SNAPSHOT_BYTES", chunk * state_bytes):
         runs = run_batch(p, config, seeds)
     assert_series_bitwise(runs, per_record_series(p, config, seeds))
+
+
+@st.composite
+def noise_block_cases(draw):
+    family = draw(st.sampled_from(["strongly-convex-quadratic", "logistic"]))
+    n, d, T = draw(st.integers(1, 4)), draw(st.integers(2, 4)), draw(st.integers(3, 60))
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True))
+    cells = []
+    for _ in range(draw(st.integers(1, 2))):
+        tau = [0, *sorted(draw(st.lists(st.integers(1, T - 1), max_size=6, unique=True))), T]
+        cells.append(Schedule(tuple(b - a for a, b in zip(tau, tau[1:]))))
+    # steps per noise block that leave a shorter last block
+    k = draw(st.integers(2, T - 1).filter(lambda k: T % k))
+    return family, n, d, T, seeds, cells, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(noise_block_cases(), st.integers(0, 50))
+def test_noise_block_size_leaves_lanes_bitwise_equal(case, problem_seed):
+    # the noise drawn ahead one step at a time, k < T steps at a time, and at
+    # the module's own budget gives the same lanes
+    family, n, d, T, seeds, cells, k = case
+    p = _family(family, n, d, problem_seed)
+    configs = [cfg(p, sched, ConstantStepsize(0.5, n, T), record_stride=3) for sched in cells]
+    step_bytes = p.noise_block(len(seeds)).nbytes
+    default = run_cells(p, configs, seeds)
+    for budget in (step_bytes, k * step_bytes + step_bytes // 2):
+        with mock.patch.object(engine, "_NOISE_BYTES", budget):
+            lanes = run_cells(p, configs, seeds)
+        for want, got in zip(default, lanes):
+            for a, b in zip(want, got):
+                assert_runs_bitwise_equal(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 9))
+def test_step_noise_rekey_matches_reference_generator(seed, t, dirt):
+    noise = engine._StepNoise(seed)
+    gen = noise.at_step(t + 1)
+    gen.standard_normal(dirt)  # leave a used counter, a buffer and a held 32-bit half
+    gen.integers(0, 7, size=dirt, dtype=np.int32)
+    counts = np.array([1, 3, 8, 1000])
+    for draw in (lambda g: g.standard_normal(5), lambda g: g.integers(0, counts),
+                 lambda g: g.integers(0, 9, size=3, dtype=np.int32)):
+        assert draw(noise.at_step(t)).tobytes() == draw(noise_generator(seed, t)).tobytes()
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])

@@ -35,6 +35,13 @@ def fd_grad(f, x, h=1e-5):
     return g
 
 
+def drawn(p, gens):
+    """p's noise block with one row per generator, drawn by draw_noise."""
+    noise = p.noise_block(len(gens))
+    p.draw_noise(gens, noise)
+    return noise
+
+
 def at_every_agent(x, n):
     """x (..., dim) as the (..., n, dim) points of n agents that all sit at x."""
     return np.repeat(x[..., None, :], n, axis=-2)
@@ -205,9 +212,9 @@ def test_batched_oracle_interface(case):
     def gens():
         return [np.random.default_rng([draw_seed, s]) for s in range(S)]
 
-    G4 = p.stochastic_grads(X4, gens())
+    G4 = p.stochastic_grads(X4, drawn(p, gens()))
     for c in range(k):
-        assert p.stochastic_grads(X4[c], gens()).tobytes() == G4[c].tobytes()
+        assert p.stochastic_grads(X4[c], drawn(p, gens())).tobytes() == G4[c].tobytes()
 
 
 def test_stochastic_grad_unbiased_light():
@@ -219,7 +226,7 @@ def test_stochastic_grad_unbiased_light():
         X = at_every_agent(rng.standard_normal(p.dim) * 0.5, p.n)
         exact = p.grads(X)
         gens = [np.random.default_rng([123, s]) for s in range(S)]
-        draws = np.concatenate([p.stochastic_grads(np.stack([X] * S), gens)
+        draws = np.concatenate([p.stochastic_grads(np.stack([X] * S), drawn(p, gens))
                                 for _ in range(N // S)])
         dev = np.linalg.norm(draws.mean(axis=0) - exact, axis=1)
         second = np.mean(np.sum((draws - exact) ** 2, axis=2), axis=0)
@@ -248,7 +255,8 @@ def test_quadratic_noise_second_moment():
     X = at_every_agent(np.array([0.3, -0.2]), p.n)
     gens = [np.random.default_rng([9, s]) for s in range(100)]
     # 20000 draws: 100 calls through 100 generators, two agents each
-    draws = np.concatenate([p.stochastic_grads(np.stack([X] * 100), gens) for _ in range(100)])
+    draws = np.concatenate([p.stochastic_grads(np.stack([X] * 100), drawn(p, gens))
+                            for _ in range(100)])
     second = np.mean(np.sum((draws - p.grads(X)) ** 2, axis=2))
     assert second == pytest.approx(0.49, rel=0.05)
 
