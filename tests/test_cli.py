@@ -224,6 +224,19 @@ PINNED_CONFIGS = {
          "seeds": {"count": 3, "base": 5}},
         {"metrics.csv": "8acab47132dbcdcc97605ef96ade1f8d2b4945d6d7dddd4c6c43e76b72d9ce92",
          "bounds.csv": "8d2f0de248f7cb56066c622ad01a01686709563ecaa1f4babf57604645f3cf03"}),
+    # the decreasing-power and explicit schedule blocks, pinned before the
+    # schedule strategies moved into one registry
+    "thm2-decreasing-power": (
+        {"experiment": {"kind": "bounds", "theorem": 2},
+         "schedule": {"strategy": "decreasing-power", "p": 1.0, "R": 20, "T": 200},
+         "stepsize": {"policy": "constant", "c": 0.02}},
+        {"metrics.csv": "d21c7c232d44d8693e5d125d035eb4e738335efccbec97cc409ef1db0bfb54d6",
+         "bounds.csv": "fe68e5c029723696046d2acaa9851e89ded5731417ebcd23a7e2ab2066956e92"}),
+    "thm1-explicit": (
+        {"schedule": {"strategy": "explicit", "H": [4] * 25 + [5] * 20, "T": 200},
+         "stepsize": {"policy": "inverse-time", "beta": 200.0}},
+        {"metrics.csv": "63e5b2940cf4cfab8c63ab9dc0e334c6cd87eb14f6245053c6d85c163cd231d3",
+         "bounds.csv": "9da217955eb1ea17e6c8ade628001645d388925348bd8e713fd3a33c29691830"}),
 }
 
 
@@ -271,7 +284,43 @@ PINNED_MULTI_CELL = {
          "cells/A/metrics.csv": "1b26af1785b3f8cafa5d847eb532b7d84093ce74c7d4811439211d421e811eae",
          "cells/B/metrics.csv": "464d571c1b2fd1e4751297df437de2a5b90948075ed7ac514c401758b25f3fa8",
          "cells/C/metrics.csv": "e410f1c63fb53efdb9d058f3633aeff85e3b3eb8b75d90348f04734eaa605951"}),
+    # the cell kinds and R rules the other configs leave out, pinned before the
+    # schedule strategies moved into one registry
+    "strategy-compare-kinds": (
+        {"experiment": {"kind": "strategy-compare", "T": 120, "record_stride": 7,
+                        "cells": [{"label": "up", "kind": "increasing-rounds", "R": 6},
+                                  {"label": "upRule", "kind": "increasing-rounds", "p": 1.0,
+                                   "r_rule": {"coef": 0.5, "T_exp": 0.5, "n_exp": 0.5}},
+                                  {"label": "rule", "kind": "fixed",
+                                   "r_rule": {"coef": 1.0, "T_exp": 0.5, "n_exp": 0.0}},
+                                  {"label": "downRule", "kind": "decreasing-rounds", "p": 1.5,
+                                   "r_rule": {"coef": 0.25, "T_exp": 0.75, "n_exp": 0.5}},
+                                  {"label": "list", "kind": "explicit",
+                                   "explicit_H": [2, 3, 5, 8, 13, 21, 34, 34]}]},
+         "problem": QUADRATIC,
+         "stepsize": {"policy": "inverse-time", "beta": 80.0},
+         "seeds": [9, 4]},
+        {"convergence.csv": "7de489e85991dce7137b3351a0acddcd1796512ed864dfa8c6bf7a2fe597ab48",
+         "cells/up/metrics.csv": "e96c7f3fee9c94701edb4719569f6f7cb6cafcae1956f8592302a454fe2df8f7",
+         "cells/upRule/metrics.csv": "c2b7c918d92ff742256dd34675abdf9d0d1f95c0a8ca8ac2fa500d6b4f81a91b",
+         "cells/rule/metrics.csv": "fab8f01c0d8e054274bbb52d5a4481149c524325a78a97cc0b073b3eb7e33a18",
+         "cells/downRule/metrics.csv": "dfb8d4598319f2063415ebd3d4315ea7b3bd0abce6c64639b33cf20f7e2fc0ce",
+         "cells/list/metrics.csv": "5bff9cbeba0e603211ffad5b2848097275eb7fe2e46913976c975c68588de932"}),
 }
+
+# every cell kind in speedup.csv's strategy column, and an R rule clamped to T
+PINNED_SPEEDUP = (
+    {"experiment": {"kind": "speedup", "T": 100, "n_list": [1, 2],
+                    "cells": [{"label": "clamp", "kind": "fixed",
+                               "r_rule": {"coef": 100.0, "T_exp": 1.0, "n_exp": 0.0}},
+                              {"label": "up", "kind": "increasing-rounds",
+                               "r_rule": {"coef": 1.0, "T_exp": 0.5, "n_exp": 0.5}},
+                              {"label": "down", "kind": "decreasing-rounds", "R": 5},
+                              {"label": "list", "kind": "explicit", "explicit_H": [10] * 10}]},
+     "problem": {**QUADRATIC, "n": 1},
+     "stepsize": {"policy": "constant", "c": 0.5},
+     "seeds": {"count": 3}},
+    {"speedup.csv": "495fa0a781cf090d0c74395da8ca65bf4289a08ebcb0a4b7fc2a2918eea40a9c"})
 
 
 def run_digests(tmp_path, cfg, out_name="res"):
@@ -297,6 +346,11 @@ def test_run_multi_cell_csv_digests_pinned(tmp_path, capsys, kind):
     got = run_digests(tmp_path, cfg)
     for csv_name, digest in digests.items():
         assert got[csv_name] == digest, csv_name
+
+
+def test_run_speedup_csv_digest_pinned(tmp_path, capsys):
+    cfg, digests = PINNED_SPEEDUP
+    assert run_digests(tmp_path, cfg) == digests
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_MULTI_CELL))
