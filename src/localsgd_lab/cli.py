@@ -35,16 +35,14 @@ from .harness import (
     run_rounds_to_target,
     run_speedup_experiment,
     run_strategy_compare,
+    thm1_beta,
 )
 from .objectives import problem_from_spec
 from .schedules import (
-    Schedule,
+    STRATEGIES,
     check_thm1_condition,
     check_thm2_condition,
     cubic_sum,
-    decreasing_power_schedule,
-    fixed_schedule,
-    increasing_power_schedule,
     schedule_from_spec,
     weighted_cubic_sum,
 )
@@ -52,6 +50,9 @@ from .schedules import (
 _NUM = {"type": "number"}
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
+_WIDTHS = {"type": "array", "items": _POS_INT, "minItems": 1}
+# what a schedule block and a strategy cell spell alike
+_SCHEDULE_PARAMS = {"a": _POS_NUM, "s": _NUM, "p": _NUM, "R": _POS_INT}
 
 _CELL_SCHEMA = {
     "type": "object",
@@ -59,20 +60,16 @@ _CELL_SCHEMA = {
     "required": ["label", "kind"],
     "properties": {
         "label": {"type": "string", "pattern": "^[A-Za-z0-9_-]+$"},
-        "kind": {"enum": ["fixed", "fixed-width", "increasing-power",
-                          "increasing-rounds", "decreasing-rounds", "explicit"]},
-        "a": _POS_NUM,
-        "s": _NUM,
-        "p": _NUM,
+        "kind": {"enum": list(STRATEGIES)},
+        **_SCHEDULE_PARAMS,
         "H": _POS_INT,
-        "R": _POS_INT,
         "r_rule": {
             "type": "object",
             "additionalProperties": False,
             "required": ["coef", "T_exp", "n_exp"],
             "properties": {"coef": _POS_NUM, "T_exp": _NUM, "n_exp": _NUM},
         },
-        "explicit_H": {"type": "array", "items": _POS_INT, "minItems": 1},
+        "explicit_H": _WIDTHS,
     },
 }
 
@@ -127,14 +124,10 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["strategy"],
             "properties": {
-                "strategy": {"enum": ["fixed", "increasing-power",
-                                      "decreasing-power", "explicit"]},
+                "strategy": {"enum": list(STRATEGIES)},
+                **_SCHEDULE_PARAMS,
                 "T": _POS_INT,
-                "R": _POS_INT,
-                "a": _POS_NUM,
-                "s": _NUM,
-                "p": _NUM,
-                "H": {"type": "array", "items": _POS_INT, "minItems": 1},
+                "H": {"anyOf": [_POS_INT, _WIDTHS]},
             },
         },
         "stepsize": {
@@ -348,6 +341,9 @@ def cmd_run(args) -> int:
                 "measured": rep.measured,
                 "bound_total": rep.total,
             }
+            if rep.theorem == 1:
+                consts = problem.constants()
+                extra["beta"] = thm1_beta(spec, consts.mu, consts.L)
         elif spec.kind == "rounds-to-target":
             rows = run_rounds_to_target(problem, spec)
             write_tradeoff_csv(outdir / "tradeoff.csv", rows)
@@ -386,20 +382,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _schedule_from_args(args) -> Schedule:
-    if args.strategy == "fixed":
-        return fixed_schedule(args.T, args.R)
-    if args.strategy == "increasing":
-        return increasing_power_schedule(args.a, args.s, args.T)
-    if args.strategy == "decreasing":
-        return decreasing_power_schedule(args.p, args.R, args.T)
-    return Schedule(tuple(args.H))
-
-
 def _schedule_report(args) -> list[str]:
     """The lines `localsgd schedule` prints: the schedule, its cubic sums and
     the admissibility checks its arguments ask for."""
-    sched = _schedule_from_args(args)
+    sched = schedule_from_spec(vars(args))
     lines = [f"H = {list(sched.H)}", f"R = {sched.R}", f"T = {sched.T}",
              f"cubic_sum = {cubic_sum(sched)}"]
     if args.beta is not None:
@@ -419,10 +405,10 @@ def _schedule_report(args) -> list[str]:
 
 def cmd_schedule(args) -> int:
     """Exit 2, having printed nothing to stdout, when a parameter is invalid
-    (ValueError) or one the strategy needs is missing (TypeError)."""
+    or one the strategy needs is missing."""
     try:
         lines = _schedule_report(args)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"invalid schedule parameters: {exc}", file=sys.stderr)
         return 2
     print("\n".join(lines))
@@ -503,15 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sched = sub.add_parser("schedule", help="build and inspect a schedule")
-    p_sched.add_argument("strategy",
-                         choices=["fixed", "increasing", "decreasing", "explicit"])
+    p_sched.add_argument("strategy", choices=list(STRATEGIES))
     p_sched.add_argument("--T", type=int)
     p_sched.add_argument("--R", type=int)
     p_sched.add_argument("--a", type=float)
     p_sched.add_argument("--s", type=float)
-    p_sched.add_argument("--p", type=float, default=2.0)
+    p_sched.add_argument("--p", type=float)
     p_sched.add_argument("--H", type=int, nargs="+",
-                         help="explicit round widths")
+                         help="the round widths of explicit, the one width of fixed-width")
     p_sched.add_argument("--mu", type=float)
     p_sched.add_argument("--L", type=float)
     p_sched.add_argument("--beta", type=float)

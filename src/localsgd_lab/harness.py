@@ -36,15 +36,12 @@ from .engine import (
 )
 from .objectives import Problem, SinusoidQuadraticProblem, problem_from_spec
 from .schedules import (
+    STRATEGIES,
     Schedule,
     beta_for_increasing,
     check_thm1_condition,
     check_thm2_condition,
     check_thm3_condition,
-    decreasing_power_schedule,
-    fixed_schedule,
-    fixed_width_schedule,
-    increasing_power_schedule,
     schedule_from_spec,
 )
 
@@ -80,18 +77,18 @@ class RRule:
 class StrategyCell:
     """One labeled schedule strategy inside a multi-cell experiment.
 
-    kind: fixed | fixed-width | increasing-power | increasing-rounds
-          | decreasing-rounds | explicit
-    fixed uses r_rule (or an explicit R); fixed-width uses H; increasing-power
-    uses (a, s); increasing-rounds / decreasing-rounds use r_rule (or R) with
-    round lengths proportional to i**p / (R-i+1)**p.
+    kind is any name of schedules.STRATEGIES, and the fields are that
+    strategy's parameters; explicit_H is the widths H of an explicit cell,
+    while H is the one width of a fixed-width cell. T comes from the
+    experiment. A strategy that takes R gets it from R or, failing that, from
+    r_rule at the experiment's n.
     """
 
     label: str
     kind: str
     a: float | None = None
     s: float | None = None
-    p: float = 2.0
+    p: float | None = None
     H: int | None = None
     R: int | None = None
     r_rule: RRule | None = None
@@ -101,43 +98,19 @@ class StrategyCell:
         if not self.label or not all(ch.isalnum() or ch in "_-" for ch in self.label):
             raise ValueError(f"cell label {self.label!r} must be nonempty [A-Za-z0-9_-]+")
 
-    def _rounds(self, n: int, T: int) -> tuple[int, bool]:
-        if self.R is not None:
-            if not 1 <= self.R <= T:
-                raise ValueError(f"cell {self.label}: R={self.R} outside [1, {T}]")
-            return self.R, False
-        if self.r_rule is None:
-            raise ValueError(f"cell {self.label}: needs R or r_rule")
-        return self.r_rule.rounds(n, T)
-
     def build(self, n: int, T: int) -> tuple[Schedule, bool]:
         """Schedule for this cell at (n, T); second value flags an R-rule clamp."""
-        if self.kind == "fixed":
-            R, clamped = self._rounds(n, T)
-            return fixed_schedule(T, R), clamped
-        if self.kind == "fixed-width":
-            if self.H is None:
-                raise ValueError(f"cell {self.label}: fixed-width needs H")
-            return fixed_width_schedule(self.H, T), False
-        if self.kind == "increasing-power":
-            if self.a is None or self.s is None:
-                raise ValueError(f"cell {self.label}: increasing-power needs a and s")
-            return increasing_power_schedule(self.a, self.s, T), False
-        if self.kind == "increasing-rounds":
-            R, clamped = self._rounds(n, T)
-            dec = decreasing_power_schedule(self.p, R, T)
-            return Schedule(tuple(reversed(dec.H))), clamped
-        if self.kind == "decreasing-rounds":
-            R, clamped = self._rounds(n, T)
-            return decreasing_power_schedule(self.p, R, T), clamped
-        if self.kind == "explicit":
-            if self.explicit_H is None:
-                raise ValueError(f"cell {self.label}: explicit needs explicit_H")
-            sched = Schedule(tuple(self.explicit_H))
-            if sched.T != T:
-                raise ValueError(f"cell {self.label}: explicit widths sum to {sched.T}, not {T}")
-            return sched, False
-        raise ValueError(f"cell {self.label}: unknown strategy kind {self.kind!r}")
+        R, clamped = self.R, False
+        takes = STRATEGIES[self.kind][1] if self.kind in STRATEGIES else ()
+        if R is None and self.r_rule is not None and "R" in takes:
+            R, clamped = self.r_rule.rounds(n, T)
+        H = self.explicit_H if self.kind == "explicit" else self.H
+        try:
+            sched = schedule_from_spec({"strategy": self.kind, "T": T, "R": R, "a": self.a,
+                                        "s": self.s, "p": self.p, "H": H})
+        except ValueError as exc:
+            raise ValueError(f"cell {self.label}: {exc}") from None
+        return sched, clamped
 
 
 @dataclass(frozen=True)
@@ -268,10 +241,11 @@ def _resolve_c(spec: ExperimentSpec, problem: Problem, cell: StrategyCell,
                      "sweep_errors": [e for e, _ in scores]}
 
 
-def _thm1_beta(spec: ExperimentSpec, mu: float, L: float) -> float:
+def thm1_beta(spec: ExperimentSpec, mu: float, L: float) -> float:
+    """The inverse-time offset a theorem-1 bounds run uses: spec.beta, or what "auto" becomes."""
     if spec.beta == "auto":
         ss = spec.schedule_spec or {}
-        if ss.get("strategy") != "increasing-power":
+        if STRATEGIES.get(ss.get("strategy")) is not STRATEGIES["increasing-power"]:
             raise ValueError('beta "auto" needs an increasing-power schedule (a, s)')
         return max(beta_for_increasing(ss["a"], ss["s"], mu, L), 20.0 * L / mu)
     return float(spec.beta)
@@ -297,7 +271,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
     if spec.theorem == 1:
         if consts.mu <= 0 or consts.x_star is None:
             raise ValueError("theorem 1 needs a strongly convex family with a minimizer")
-        beta = _thm1_beta(spec, consts.mu, consts.L)
+        beta = thm1_beta(spec, consts.mu, consts.L)
         guard = 20.0 * consts.L / consts.mu
         if beta < guard:
             raise PreconditionError(

@@ -2,9 +2,10 @@
 
 A schedule splits the horizon T into R rounds of local work: H_i is the number
 of local steps in round i and tau_i = H_1 + ... + H_i is the step index at
-which the i-th averaging happens. Constructors cover the three strategies used
-in the experiments (fixed width, increasing power law, decreasing power law)
-plus the per-round admissibility checks that the convergence guarantees need.
+which the i-th averaging happens. STRATEGIES names the constructors (fixed
+count, fixed width, increasing and decreasing power law, explicit) for every
+surface that builds a schedule. The module also holds the per-round
+admissibility checks that the convergence guarantees need.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def decreasing_power_schedule(p: float, R: int, T: int) -> Schedule:
 
 
 def beta_for_increasing(a: float, s: float, mu: float, L: float) -> float:
-    """Stepsize offset certified to admit H_i = floor(a * i**s) at every round.
+    """Stepsize offset certified to admit H_i = floor(a * i**s) at every round, for a >= 1.
 
     beta = a * ceil(24 L / mu)**s * (12 L / mu) + 1.
     """
@@ -179,33 +180,56 @@ def weighted_cubic_sum(schedule: Schedule, beta: float) -> float:
     )
 
 
+def _explicit(H) -> Schedule:
+    """The round widths H as given: a list of them, or one bare width."""
+    return Schedule(tuple(H) if isinstance(H, (list, tuple)) else (H,))
+
+
+def _fixed_width(H, T: int) -> Schedule:
+    widths = _explicit(H).H
+    if len(widths) != 1:
+        raise ValueError(f"fixed-width takes one width H, got {list(widths)}")
+    return fixed_width_schedule(widths[0], T)
+
+
+def _increasing_rounds(p: float, R: int, T: int) -> Schedule:
+    return Schedule(tuple(reversed(decreasing_power_schedule(p, R, T).H)))
+
+
+# every accepted strategy name -> (constructor, the parameters it takes by
+# keyword); a parameter in DEFAULTS may be left out, and an alias shares the
+# entry of the name it stands for
+STRATEGIES = {
+    "fixed": (fixed_schedule, ("T", "R")),
+    "fixed-width": (_fixed_width, ("H", "T")),
+    "increasing-power": (increasing_power_schedule, ("a", "s", "T")),
+    "increasing-rounds": (_increasing_rounds, ("p", "R", "T")),
+    "decreasing-power": (decreasing_power_schedule, ("p", "R", "T")),
+    "explicit": (_explicit, ("H",)),
+}
+ALIASES = {"increasing": "increasing-power", "decreasing": "decreasing-power",
+           "decreasing-rounds": "decreasing-power"}
+STRATEGIES.update({alias: STRATEGIES[name] for alias, name in ALIASES.items()})
+DEFAULTS = {"p": 2.0}
+
+
 def schedule_from_spec(spec: dict) -> Schedule:
-    """Build a Schedule from a JSON config block.
+    """The schedule of spec["strategy"] from the rest of spec, the one way to build one.
 
-    Accepted forms:
-      {"strategy": "fixed", "T": int, "R": int}
-      {"strategy": "increasing-power", "a": num, "s": num, "T": int}
-      {"strategy": "decreasing-power", "p": num, "R": int, "T": int}
-      {"strategy": "explicit", "H": [int, ...], "T": int (optional)}
+    A config block, a cell's fields or the CLI's arguments pass whole: keys
+    the strategy does not take are ignored and a None value counts as absent.
+    A given T must equal the sum of the widths, whatever the strategy.
     """
-    strategy = spec.get("strategy")
-
-    def need(key):
-        if key not in spec:
-            raise ValueError(f"schedule strategy {strategy!r} needs {key}")
-        return spec[key]
-
-    if strategy == "fixed":
-        return fixed_schedule(need("T"), need("R"))
-    if strategy == "increasing-power":
-        return increasing_power_schedule(need("a"), need("s"), need("T"))
-    if strategy == "decreasing-power":
-        return decreasing_power_schedule(need("p"), need("R"), need("T"))
-    if strategy == "explicit":
-        sched = Schedule(tuple(need("H")))
-        if "T" in spec and sched.T != spec["T"]:
-            raise ValueError(
-                f"explicit H sums to {sched.T}, violating sum(H) == T with T={spec['T']}"
-            )
-        return sched
-    raise ValueError(f"unknown schedule strategy {strategy!r}")
+    name = spec.get("strategy")
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown schedule strategy {name!r}")
+    build, keys = STRATEGIES[name]
+    params = {key: DEFAULTS.get(key) if spec.get(key) is None else spec[key] for key in keys}
+    for key, value in params.items():
+        if value is None:
+            raise ValueError(f"schedule strategy {name!r} needs {key}")
+    sched = build(**params)
+    T = spec.get("T")
+    if T is not None and sched.T != T:
+        raise ValueError(f"{name} H sums to {sched.T}, violating sum(H) == T with T={T}")
+    return sched

@@ -1,9 +1,12 @@
 """CLI tests: config validation, exit codes, CSV layout, plot-data export."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ import localsgd_lab
 from localsgd_lab.cli import (
     CONFIG_SCHEMA,
     ConfigError,
+    build_parser,
     load_config,
     main,
     resolve_seeds,
@@ -22,6 +26,9 @@ from localsgd_lab.cli import (
 )
 from localsgd_lab.harness import RRule
 from localsgd_lab.objectives import problem_from_spec
+from localsgd_lab.schedules import ALIASES, STRATEGIES, beta_for_increasing
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -134,6 +141,18 @@ def test_run_bounds_writes_results(tmp_path, capsys):
     names = ["L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "f_star"]
     assert meta["constants"] == {**{name: getattr(consts, name) for name in names},
                                  "provenance": {name: "analytic" for name in names}}
+
+
+def test_run_meta_records_resolved_beta(tmp_path, capsys):
+    # theorem 1 records the beta it ran with, "auto" resolved; theorem 2 has none
+    auto = max(beta_for_increasing(1.0, 0.5, 0.5, 2.0), 20.0 * 2.0 / 0.5)
+    cases = {"auto": ({}, auto), "numeric": (PINNED_CONFIGS["thm1-explicit"][0], 200.0),
+             "thm2": (PINNED_CONFIGS["thm2-decreasing-power"][0], None)}
+    for name, (tweaks, beta) in cases.items():
+        out = tmp_path / name
+        assert main(["run", write_cfg(tmp_path, bounds_cfg(out, **tweaks))]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta.get("beta") == beta, name
 
 
 def test_run_exit3_names_failing_condition(tmp_path, capsys):
@@ -544,6 +563,36 @@ def test_schedule_condition_table(capsys):
 def test_schedule_invalid_exit2(capsys):
     assert main(["schedule", "fixed", "--T", "10", "--R", "100"]) == 2
     assert main(["schedule", "explicit"]) == 2
+
+
+def test_schedule_explicit_checks_T(capsys):
+    assert main(["schedule", "explicit", "--H", "2", "3", "--T", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "sum(H) == T" in err
+    assert main(["schedule", "explicit", "--H", "2", "3", "--T", "5"]) == 0
+
+
+def test_every_surface_takes_the_registered_names():
+    names = list(STRATEGIES)
+    assert set(ALIASES) < set(names)
+    assert CONFIG_SCHEMA["properties"]["schedule"]["properties"]["strategy"]["enum"] == names
+    cell = CONFIG_SCHEMA["properties"]["experiment"]["properties"]["cells"]["items"]
+    assert cell["properties"]["kind"]["enum"] == names
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [strategy] = [a for a in sub.choices["schedule"]._actions if a.dest == "strategy"]
+    assert list(strategy.choices) == names
+
+
+def test_readme_config_and_schedule_command_run(tmp_path, capsys):
+    text = README.read_text()
+    configs = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert configs
+    for i, config in enumerate(configs):
+        load_config(write_cfg(tmp_path, json.loads(config), f"readme{i}.json"))
+    commands = re.findall(r"`localsgd (schedule [^`]+)`", text)
+    assert any(command.startswith("schedule increasing ") for command in commands)
+    for command in commands:
+        assert main(shlex.split(command)) == 0, command
 
 
 @pytest.mark.parametrize("report_args", [

@@ -1,9 +1,15 @@
 import math
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from localsgd_lab.cli import CONFIG_SCHEMA, _cell_from_config, _schedule_report, build_parser
 from localsgd_lab.schedules import (
+    DEFAULTS,
+    STRATEGIES,
     CapConditionReport,
     Schedule,
     beta_for_increasing,
@@ -210,3 +216,65 @@ def test_schedule_from_spec_rejects_mismatched_T():
         schedule_from_spec({"strategy": "explicit", "H": [2, 2], "T": 5})
     with pytest.raises(ValueError, match="strategy"):
         schedule_from_spec({"strategy": "banana"})
+
+
+# each alias and the strategy it must build, as the README documents them
+ALIAS_TARGETS = {"increasing": "increasing-power", "decreasing": "decreasing-power",
+                 "decreasing-rounds": "decreasing-power"}
+
+
+@st.composite
+def schedule_params(draw, name):
+    """Valid parameters for strategy `name`, plus the ones it ignores; p may be absent."""
+    T = draw(st.integers(1, 400))
+    params = {"T": T, "R": draw(st.integers(1, T)), "a": draw(st.floats(0.05, 10.0)),
+              "s": draw(st.floats(0.0, 2.0)), "p": draw(st.none() | st.floats(0.0, 4.0)),
+              "H": draw(st.integers(1, 50))}
+    if STRATEGIES[name] is STRATEGIES["explicit"]:
+        params["H"] = draw(st.lists(st.integers(1, 30), min_size=1, max_size=30))
+        params["T"] = draw(st.sampled_from([None, sum(params["H"])]))
+    return params
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(list(STRATEGIES)))
+def test_every_strategy_fills_T_with_rounds_of_at_least_one(data, name):
+    params = data.draw(schedule_params(name))
+    sched = schedule_from_spec({"strategy": name, **params})
+    assert min(sched.H) >= 1
+    assert sched.T == (sum(params["H"]) if params["T"] is None else params["T"])
+    assert schedule_from_spec({"strategy": ALIAS_TARGETS.get(name, name), **params}) == sched
+    if params["p"] is None:
+        assert schedule_from_spec({"strategy": name, **params, "p": DEFAULTS["p"]}) == sched
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(list(STRATEGIES)))
+def test_block_cell_and_cli_build_the_same_schedule(data, name):
+    params = {k: v for k, v in data.draw(schedule_params(name)).items() if v is not None}
+    block = {"strategy": name, **params}
+    jsonschema.validate(block, CONFIG_SCHEMA["properties"]["schedule"])
+    explicit = STRATEGIES[name] is STRATEGIES["explicit"]
+    cell = {"label": "c", "kind": name, **params}
+    cell.pop("T", None)
+    if explicit:
+        cell["explicit_H"] = cell.pop("H")
+    jsonschema.validate(cell, CONFIG_SCHEMA["properties"]["experiment"]["properties"]["cells"]["items"])
+    argv = ["schedule", name]
+    for key, value in params.items():
+        argv += [f"--{key}", *map(repr, value if isinstance(value, list) else [value])]
+
+    sched = schedule_from_spec(block)
+    assert _cell_from_config(cell).build(1, sched.T)[0] == sched
+    assert _schedule_report(build_parser().parse_args(argv))[0] == f"H = {list(sched.H)}"
+
+
+# below a = 1 the max(1, .) in increasing_power_schedule lifts rounds above
+# floor(a i**s), which the formula does not cover (a=0.5, s=0, mu=L=1 fails)
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(1.0, 20.0), s=st.floats(0.0, 3.0), mu=st.floats(1e-3, 1.0),
+       kappa=st.floats(1.0, 1e3), T=st.integers(1, 20000))
+def test_beta_for_increasing_certifies_every_round(a, s, mu, kappa, T):
+    L = mu * kappa
+    beta = beta_for_increasing(a, s, mu, L)
+    assert check_thm1_condition(increasing_power_schedule(a, s, T), mu, L, beta).all_pass
