@@ -10,12 +10,18 @@ pass per step. Each step averages only the configs that communicate after it.
 
 Gradient noise at step t comes from a counter-based generator keyed by
 (seed, t), with agent i reading row i of the step's noise block. It does not
-depend on the state, so every seed's blocks for a run of steps are drawn ahead
-into one buffer of about 64 KiB, and each step hands its (S, ...) row to
-stochastic_grads for every config. So a lane's trajectory is bit-identical
-regardless of schedule, recording stride, buffer size, or which configs and
-seeds share its batch: running them all at once, in chunks, or one at a time
-writes the same bytes. RunMetrics.wall_time is the wall time of the whole batch.
+depend on the state, so it is drawn ahead in blocks of about 64 KiB, each
+holding every seed's noise for a run of steps, and each step hands its
+(S, ...) row to stochastic_grads for every config. The process that runs the
+step loop draws the first block. When a run has a second block, a child
+process forked at its start draws the rest into a ring of a few blocks of
+shared memory while the loop steps; a one-block run forks no child, and where
+os.fork does not exist the loop's process draws every block itself. The child
+makes the same draws on the same generators. So a lane's trajectory is
+bit-identical regardless of schedule, recording stride, block size, the
+process that draws its noise, or which configs and seeds share its batch:
+running them all at once, in chunks, or one at a time writes the same bytes.
+RunMetrics.wall_time is the wall time of the whole batch.
 
 Recorded series (sampled at t = 0, multiples of record_stride, every
 communication instant, and t = T). A record point only copies the (S, n, d)
@@ -34,8 +40,13 @@ after averaging it is rounding residue, not exactly 0.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import signal
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +56,7 @@ from .schedules import Schedule
 
 _SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
 _NOISE_BYTES = 64 * 1024  # noise drawn ahead of the step loop, all seeds of a run of steps
+_NOISE_RING = 4  # noise blocks shared with the child that draws them ahead
 _MEAN_SE_COLUMNS = 1024  # columns per _mean_se pass; bounds its lists of Python floats
 _SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
 
@@ -103,6 +115,80 @@ class _StepNoise:
         self._key[1] = t
         self._bg.state = self._state
         return self._gen
+
+
+class NoiseDrawError(RuntimeError):
+    """The child process that draws a run's noise blocks failed."""
+
+
+def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
+    """Yield the (k, S, ...) noise of steps [t, t + steps), for t = 0, steps, ... < T.
+
+    The caller's process draws the first block. When there is a second block
+    and os.fork exists, a forked child draws the rest into a ring of
+    _NOISE_RING blocks of anonymous shared memory while the caller steps: one
+    pipe says a block is ready, the other that a slot is free again. The
+    child makes the same draw_noise calls on the same generators, so every
+    block holds the bits an in-process draw gives. It ends with os._exit, so
+    it flushes none of the caller's files; if it fails it prints its
+    traceback and exits, and next() raises NoiseDrawError. Closing the
+    generator kills and reaps the child, whether the run completed or raised.
+    """
+    starts = range(0, T, steps)
+    block = problem.noise_block(steps, len(steppers))
+
+    def draw(t, out):
+        out = out[:T - t]
+        problem.draw_noise((stepper.at_step(u) for u in range(t, min(T, t + steps))
+                            for stepper in steppers), out)
+        return out
+
+    if len(starts) == 1 or not hasattr(os, "fork"):
+        for t in starts:
+            yield draw(t, block)
+        return
+    K = _NOISE_RING
+    ring = np.ndarray((K, *block.shape), block.dtype, mmap.mmap(-1, K * block.nbytes))
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready_r, ready_w, free_r, free_w):
+            os.close(fd)
+        raise
+    if not pid:
+        code = 1
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            for b in range(1, len(starts)):
+                if b >= K and not os.read(free_r, 1):
+                    break  # the caller stopped early
+                draw(starts[b], ring[b % K])
+                os.write(ready_w, b"+")
+            code = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        yield draw(0, ring[0])
+        for b in range(1, len(starts)):
+            if b - 1 + K < len(starts):  # the child reuses block b - 1's slot
+                with contextlib.suppress(BrokenPipeError):  # a failed child; read on to its EOF
+                    os.write(free_w, b"+")
+            if not os.read(ready_r, 1):
+                raise NoiseDrawError(f"the noise child process {pid} failed before step "
+                                     f"{starts[b]}; its traceback is on stderr")
+            yield ring[b % K][:T - starts[b]]
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(ready_r)
+        os.close(free_w)
 
 
 def noise_generator(seed: int, t: int) -> np.random.Generator:
@@ -228,6 +314,12 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     record_stride, and config.seed is ignored. Seed s's noise for step t is
     drawn once, from its own (seed, t) stream, for every config, so a lane's
     metrics are bitwise those of the one-config, one-seed batch.
+
+    The noise is drawn ahead in blocks of about _NOISE_BYTES. This process
+    draws the first; if the run has a second, a child forked here draws the
+    rest while the steps run (see _noise_blocks), and without os.fork this
+    process draws them all. The child is reaped before run_cells returns or
+    raises, and a child that fails raises NoiseDrawError here.
     """
     configs = list(configs)
     seeds = [int(s) for s in seeds]
@@ -292,8 +384,8 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     Y = X[0] if C == 1 else X  # the stepped view; one config skips broadcasting a unit axis
     noise = None
     steppers = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else []
-    # block[j] is the (S, ...) noise of step t + j, drawn at the t that len(block) divides
-    block = problem.noise_block(max(1, min(T, _NOISE_BYTES // problem.noise_block(S).nbytes)), S)
+    # block[j] is the (S, ...) noise of step t + j, taken at the t that `steps` divides
+    steps = max(1, min(T, _NOISE_BYTES // problem.noise_block(S).nbytes))
     grads = problem.stochastic_grads
     eta_at = first.stepsize.at
     value = problem._global_value
@@ -348,7 +440,8 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         held = 0
 
     wall = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):  # _aggregate reports divergence
+    with (np.errstate(over="ignore", invalid="ignore"),  # _aggregate reports divergence
+          contextlib.closing(_noise_blocks(problem, steppers, T, steps)) as blocks):
         snapshot(..., np.arange(C))  # every config records t = 0
         for t in range(T):
             if track:
@@ -358,10 +451,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                 if have_star:
                     sum_e.add(value(xbar) - f_star)
             if steppers:
-                j = t % len(block)
+                j = t % steps
                 if not j:
-                    problem.draw_noise((stepper.at_step(u) for u in range(t, min(T, t + len(block)))
-                                        for stepper in steppers), block[:T - t])
+                    block = next(blocks)
                 noise = block[j]
             G = grads(Y, noise)
             G *= eta_at(t)

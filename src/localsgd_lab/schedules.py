@@ -116,13 +116,15 @@ def decreasing_power_schedule(p: float, R: int, T: int) -> Schedule:
 
 
 def beta_for_increasing(a: float, s: float, mu: float, L: float) -> float:
-    """Stepsize offset certified to admit H_i = floor(a * i**s) at every round, for a >= 1.
+    """Stepsize offset certified to admit increasing_power_schedule(a, s, T) at every round.
 
-    beta = a * ceil(24 L / mu)**s * (12 L / mu) + 1.
+    beta = max(a, 1) * ceil(24 L / mu)**s * (12 L / mu) + 1. Below a = 1, where
+    the schedule lifts floor(a * i**s) to 1, the formula is taken at a = 1: no
+    round is then wider than its a = 1 width.
     """
     if a <= 0 or s < 0 or mu <= 0 or L <= 0:
         raise ValueError(f"need a > 0, s >= 0, mu > 0, L > 0, got a={a}, s={s}, mu={mu}, L={L}")
-    return a * math.ceil(24 * L / mu) ** s * (12 * L / mu) + 1
+    return max(a, 1) * math.ceil(24 * L / mu) ** s * (12 * L / mu) + 1
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,16 @@
+import os
+
 import pytest
 
 from localsgd_lab import engine, harness
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every child a test forks, the engine's noise child included, is reaped by its end."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

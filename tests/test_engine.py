@@ -1,4 +1,7 @@
+import contextlib
 import math
+import os
+import signal
 from dataclasses import replace
 from unittest import mock
 
@@ -11,6 +14,7 @@ from localsgd_lab import engine
 from localsgd_lab.engine import (
     ConstantStepsize,
     InverseTimeStepsize,
+    NoiseDrawError,
     RunConfig,
     _mean_se,
     noise_generator,
@@ -437,22 +441,111 @@ def noise_block_cases(draw):
     return family, n, d, T, seeds, cells, k
 
 
+@contextlib.contextmanager
+def fork_removed():
+    """os.fork absent, as on a platform that has none."""
+    fork = os.fork
+    del os.fork
+    try:
+        yield
+    finally:
+        os.fork = fork
+
+
 @settings(max_examples=60, deadline=None)
 @given(noise_block_cases(), st.integers(0, 50))
 def test_noise_block_size_leaves_lanes_bitwise_equal(case, problem_seed):
-    # the noise drawn ahead one step at a time, k < T steps at a time, and at
-    # the module's own budget gives the same lanes
+    # the noise drawn ahead one step at a time and k < T steps at a time, both
+    # by a forked child, k at a time without os.fork, and in one block at the
+    # module's own budget gives the same lanes
     family, n, d, T, seeds, cells, k = case
     p = _family(family, n, d, problem_seed)
     configs = [cfg(p, sched, ConstantStepsize(0.5, n, T), record_stride=3) for sched in cells]
     step_bytes = p.noise_block(len(seeds)).nbytes
     default = run_cells(p, configs, seeds)
-    for budget in (step_bytes, k * step_bytes + step_bytes // 2):
-        with mock.patch.object(engine, "_NOISE_BYTES", budget):
+    k_bytes = k * step_bytes + step_bytes // 2
+    for budget, forks in ((step_bytes, True), (k_bytes, True), (k_bytes, False)):
+        with (mock.patch.object(engine, "_NOISE_BYTES", budget),
+              contextlib.nullcontext() if forks else fork_removed()):
             lanes = run_cells(p, configs, seeds)
         for want, got in zip(default, lanes):
             for a, b in zip(want, got):
                 assert_runs_bitwise_equal(a, b)
+
+
+def one_step_noise_blocks():
+    """Noise drawn one step per block: the parent draws step 0, a child the rest."""
+    return mock.patch.object(engine, "_NOISE_BYTES", 1)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, instead of hanging, if the block runs past `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_noise_child_is_reaped_after_a_completed_run():
+    p = noisy_problem()
+    config = cfg(p, fixed_schedule(40, 8), InverseTimeStepsize(0.2, 30.0))
+    with one_step_noise_blocks(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        runs = run_batch(p, config, [3, 5])
+    assert fork.call_count == 1
+    assert_no_child_left()
+    for m, seed in zip(runs, [3, 5]):
+        assert_runs_bitwise_equal(m, run_local_sgd(p, replace(config, seed=seed)))
+
+
+def test_noise_child_is_reaped_when_a_step_raises():
+    class StepFailed(Exception):
+        pass
+
+    p = noisy_problem()
+    grads, steps = p.stochastic_grads, []
+
+    def failing_grads(X, noise):
+        steps.append(None)
+        if len(steps) == 10:
+            raise StepFailed
+        return grads(X, noise)
+
+    config = cfg(p, fixed_schedule(40, 8), InverseTimeStepsize(0.2, 30.0))
+    with (one_step_noise_blocks(), mock.patch.object(p, "stochastic_grads", failing_grads),
+          pytest.raises(StepFailed)):
+        run_batch(p, config, [3, 5])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("family", ["strongly-convex-quadratic", "logistic"])
+def test_failing_noise_child_raises_named_error(family, capfd):
+    p = _family(family, 3, 4, 0)
+    draw, parent, drawn = p.draw_noise, os.getpid(), []
+
+    def failing_draw(gens, out):
+        drawn.append(None)
+        if os.getpid() != parent and len(drawn) == 3:  # the child's block of step 3
+            raise RuntimeError("draw failed in the child")
+        draw(gens, out)
+
+    config = cfg(p, fixed_schedule(40, 8), ConstantStepsize(0.5, p.n, 40))
+    with (deadline(60), one_step_noise_blocks(), mock.patch.object(p, "draw_noise", failing_draw),
+          pytest.raises(NoiseDrawError, match="before step 3")):
+        run_batch(p, config, [3, 5])
+    assert_no_child_left()
+    assert "RuntimeError: draw failed in the child" in capfd.readouterr().err
 
 
 @settings(max_examples=50, deadline=None)
