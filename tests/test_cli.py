@@ -341,6 +341,36 @@ PINNED_SPEEDUP = (
      "seeds": {"count": 3}},
     {"speedup.csv": "495fa0a781cf090d0c74395da8ca65bf4289a08ebcb0a4b7fc2a2918eea40a9c"})
 
+# swept-c speedups, pinned to the speedup.csv digest and notes.sweeps they had
+# when every swept c ran as a batch of its own: logistic is scored by r_T, the
+# nonconvex family by the time-averaged h, and its c = 200 diverges
+PINNED_SWEEPS = {
+    "logistic": (
+        {"experiment": {"kind": "speedup", "T": 120, "n_list": [1, 2, 4],
+                        "cells": [{"label": "f", "kind": "fixed",
+                                   "r_rule": {"coef": 1.0, "T_exp": 0.5, "n_exp": 0.5}},
+                                  {"label": "inc", "kind": "increasing-power", "a": 1.0, "s": 0.5}]},
+         "problem": {"family": "logistic", "n": 1, "d": 3, "K": 4, "m": 7,
+                     "shards_per_agent": 2, "lam": 0.1, "seed": 5},
+         "stepsize": {"policy": "constant", "c": [0.2, 0.8, 3.0]},
+         "seeds": {"count": 3}},
+        "6340c5cbae23b86f1807b16f90342a744f159456d05a4e63336ebdbb62784587",
+        {"f": {"chosen_c": 0.8, "swept_c": [0.2, 0.8, 3.0],
+               "sweep_errors": [0.10614422714021517, 0.01794937899863499, 0.07781674536800558]},
+         "inc": {"chosen_c": 0.8, "swept_c": [0.2, 0.8, 3.0],
+                 "sweep_errors": [0.0975753527300313, 0.016029272166143634, 0.07777406261048893]}}),
+    "nonconvex": (
+        {"experiment": {"kind": "speedup", "T": 100, "n_list": [1, 2, 4],
+                        "cells": [{"label": "f", "kind": "fixed", "R": 10}]},
+         "problem": {"family": "nonconvex", "n": 1, "d": 4, "Q_diag": [1.0, 0.5, 0.2, 0.1],
+                     "delta": 1.0, "eps_sin": 0.2, "sigma_noise": 1.0, "seed": 7},
+         "stepsize": {"policy": "constant", "c": [0.05, 0.3, 200.0]},
+         "seeds": [4, 9, 2]},
+        "e42b8e79d1b5e4ea248e344b070f82737f3f847d9a55dddfa51898552b4dd843",
+        {"f": {"chosen_c": 0.3, "swept_c": [0.05, 0.3, 200.0],
+               "sweep_errors": [0.14756323962049941, 0.06413923536247472, math.inf]}}),
+}
+
 
 def run_digests(tmp_path, cfg, out_name="res"):
     """Run cfg into tmp_path/out_name; sha256 of every CSV it wrote, by relative path."""
@@ -370,6 +400,27 @@ def test_run_multi_cell_csv_digests_pinned(tmp_path, capsys, kind):
 def test_run_speedup_csv_digest_pinned(tmp_path, capsys):
     cfg, digests = PINNED_SPEEDUP
     assert run_digests(tmp_path, cfg) == digests
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_run_swept_speedup_pinned(tmp_path, capsys, name):
+    cfg, digest, sweeps = PINNED_SWEEPS[name]
+    assert run_digests(tmp_path, cfg) == {"speedup.csv": digest}
+    assert json.loads((tmp_path / "res" / "run_meta.json").read_text())["notes"] == {
+        "sweeps": sweeps}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_run_swept_speedup_byte_identical_one_c_per_batch(tmp_path, partition_seeds, capsys,
+                                                          name):
+    # the swept c lanes run as one engine call, then one per call
+    cfg, _, _ = PINNED_SWEEPS[name]
+    whole = run_digests(tmp_path, cfg, "whole")
+    sizes = partition_seeds(None, 1)
+    assert run_digests(tmp_path, cfg, "per-c") == whole
+    assert sizes and all(C == 1 for C, _ in sizes)
+    meta = [(tmp_path / out / "run_meta.json").read_bytes() for out in ("whole", "per-c")]
+    assert meta[0] == meta[1]
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_MULTI_CELL))
