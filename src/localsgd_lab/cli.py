@@ -37,7 +37,7 @@ from .harness import (
     run_strategy_compare,
     thm1_beta,
 )
-from .objectives import problem_from_spec
+from .objectives import MAKERS, problem_from_spec
 from .schedules import (
     STRATEGIES,
     check_thm1_condition,
@@ -101,8 +101,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["family", "n", "d", "seed"],
             "properties": {
-                "family": {"enum": ["strongly-convex-quadratic", "convex-quadratic",
-                                    "nonconvex", "logistic"]},
+                "family": {"enum": list(MAKERS)},
                 "n": _POS_INT,
                 "d": _POS_INT,
                 "seed": {"type": "integer", "minimum": 0},

@@ -3,8 +3,8 @@
 Runs n agents for T steps: each step every agent takes a local stochastic
 gradient step, and whenever t+1 is a communication instant tau_i all states
 are replaced by their average. One batch runs lanes, one lane per (config,
-seed) pair: configs that share n, x0, T, the stepsize and track_averages but
-differ in schedule or record_stride run together on the same seeds, and all
+seed) pair: configs that share n, x0, T and track_averages but differ in
+schedule, stepsize or record_stride run together on the same seeds, and all
 lanes share one state array of shape (C, S, n, d) that advances in one numpy
 pass per step. Each step averages only the configs that communicate after it.
 
@@ -72,7 +72,7 @@ class InverseTimeStepsize:
         if self.mu <= 0 or self.beta <= 0:
             raise ValueError(f"need mu > 0 and beta > 0, got mu={self.mu}, beta={self.beta}")
 
-    def at(self, t: int) -> float:
+    def at(self, t: int | np.ndarray) -> float | np.ndarray:
         return 2.0 / (self.mu * (self.beta + t))
 
 
@@ -88,7 +88,7 @@ class ConstantStepsize:
         if self.c <= 0 or self.n < 1 or self.T < 1:
             raise ValueError(f"need c > 0, n >= 1, T >= 1, got c={self.c}, n={self.n}, T={self.T}")
 
-    def at(self, t: int) -> float:
+    def at(self, t: int | np.ndarray) -> float:
         return self.c * math.sqrt(self.n / self.T)
 
 
@@ -124,15 +124,16 @@ class NoiseDrawError(RuntimeError):
 def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
     """Yield the (k, S, ...) noise of steps [t, t + steps), for t = 0, steps, ... < T.
 
-    The caller's process draws the first block. When there is a second block
-    and os.fork exists, a forked child draws the rest into a ring of
-    _NOISE_RING blocks of anonymous shared memory while the caller steps: one
-    pipe says a block is ready, the other that a slot is free again. The
-    child makes the same draw_noise calls on the same generators, so every
-    block holds the bits an in-process draw gives. It ends with os._exit, so
-    it flushes none of the caller's files; if it fails it prints its
-    traceback and exits, and next() raises NoiseDrawError. Closing the
-    generator kills and reaps the child, whether the run completed or raised.
+    The caller's process draws the first block. When there is a second block,
+    os.fork exists and the process may run on two CPUs, a forked child draws
+    the rest into a ring of _NOISE_RING blocks of anonymous shared memory
+    while the caller steps: one pipe says a block is ready, the other that a
+    slot is free again. The child makes the same draw_noise calls on the same
+    generators, so every block holds the bits an in-process draw gives. It
+    ends with os._exit, so it flushes none of the caller's files; if it fails
+    it prints its traceback and exits, and next() raises NoiseDrawError.
+    Closing the generator kills and reaps the child, whether the run
+    completed or raised.
     """
     starts = range(0, T, steps)
     block = problem.noise_block(steps, len(steppers))
@@ -143,7 +144,8 @@ def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
                             for stepper in steppers), out)
         return out
 
-    if len(starts) == 1 or not hasattr(os, "fork"):
+    one_cpu = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2
+    if len(starts) == 1 or not hasattr(os, "fork") or one_cpu:  # on one CPU a child only waits
         for t in starts:
             yield draw(t, block)
         return
@@ -310,10 +312,11 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
 
     Each (config, seed) pair is a lane, and all lanes share one (C, S, n, d)
     state that every step advances in one numpy pass. The configs must share
-    n, x0, T, the stepsize and track_averages; they may differ in schedule and
-    record_stride, and config.seed is ignored. Seed s's noise for step t is
-    drawn once, from its own (seed, t) stream, for every config, so a lane's
-    metrics are bitwise those of the one-config, one-seed batch.
+    n, x0, T and track_averages; they may differ in schedule, stepsize (each
+    evaluated for all T steps up front) and record_stride, and config.seed is
+    ignored. Seed s's noise for step t is drawn once, from its own (seed, t)
+    stream, for every config, so a lane's metrics are bitwise those of the
+    one-config, one-seed batch.
 
     The noise is drawn ahead in blocks of about _NOISE_BYTES. This process
     draws the first; if the run has a second, a child forked here draws the
@@ -337,11 +340,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
             raise ValueError(f"config.n = {config.n} but problem has n = {problem.n}")
         if config.x0.shape != (problem.dim,):
             raise ValueError(f"x0 has shape {config.x0.shape}, expected ({problem.dim},)")
-        if (config.schedule.T != first.schedule.T or config.stepsize != first.stepsize
-                or config.track_averages != first.track_averages
+        if (config.schedule.T != first.schedule.T or config.track_averages != first.track_averages
                 or not np.array_equal(config.x0, first.x0)):
-            raise ValueError("the configs of one batch must share n, x0, T, the stepsize "
-                             "and track_averages")
+            raise ValueError("the configs of one batch must share n, x0, T and track_averages")
     T = first.schedule.T
     n = problem.n
     d = problem.dim
@@ -387,7 +388,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     # block[j] is the (S, ...) noise of step t + j, taken at the t that `steps` divides
     steps = max(1, min(T, _NOISE_BYTES // problem.noise_block(S).nbytes))
     grads = problem.stochastic_grads
-    eta_at = first.stepsize.at
+    eta = np.array([np.broadcast_to(config.stepsize.at(np.arange(T)), T) for config in configs]).T
+    # a Python float per step when the configs share every eta, else a (C, 1, 1, 1) column
+    eta = eta[:, 0].tolist() if (eta == eta[:, :1]).all() else eta.reshape(T, C, 1, 1, 1)
     value = problem._global_value
     grad = problem._global_grad
 
@@ -456,7 +459,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                     block = next(blocks)
                 noise = block[j]
             G = grads(Y, noise)
-            G *= eta_at(t)
+            G *= eta[t]
             Y -= G
             avg, rec, ids = plan[t + 1]
             if avg is not None:

@@ -12,9 +12,12 @@ Four experiment kinds:
 All experiments start from x0 = 0, average over the spec's seed list, and are
 bit-reproducible from (spec, seeds). The nonconvex error measure is the
 time-averaged squared gradient norm; families with a minimizer use r_T.
+One resolver builds every stepsize: inverse-time 2/(mu(beta+t)), which
+theorem 1 needs, or constant c sqrt(n/T), which theorems 2 and 3 need.
 The cells of rounds-to-target and strategy-compare share problem, stepsize
-and seeds, so all of them run as one engine batch; bounds, speedup and the
-c-sweep run one schedule per batch.
+and seeds, and the swept c of a speedup cell share its problem, schedule and
+seeds, so each runs as one engine batch; bounds and speedup at each n run one
+schedule per batch.
 """
 
 from __future__ import annotations
@@ -181,20 +184,20 @@ class ExperimentSpec:
             raise ValueError(f"measure must be r, e or h, got {self.measure!r}")
 
 
-def _simulate(problem: Problem, scheds: list[Schedule], stepsize, seeds, record_stride: int,
+def _simulate(problem: Problem, runs, seeds, record_stride: int,
               track_averages: bool, names: list[str] | None) -> Iterator[AggregateMetrics]:
-    """Seed-mean metrics of each schedule run from x0 = 0, yielded in order.
+    """Seed-mean metrics of each (schedule, stepsize) run from x0 = 0, yielded in order.
 
-    All schedules run as one engine batch; each is reduced over its seeds only
-    when the caller asks for it. With names (one per schedule), the first
-    schedule whose seeds diverged raises DivergenceError naming it; with
-    names=None diverged seeds are left in the result.
+    All runs go as one engine batch; each is reduced over its seeds only when
+    the caller asks for it. With names (one per run), the first run whose
+    seeds diverged raises DivergenceError naming it; with names=None diverged
+    seeds are left in the result.
     """
     x0 = np.zeros(problem.dim)
     cells = run_cells(problem, [
         RunConfig(n=problem.n, schedule=sched, stepsize=stepsize, x0=x0, seed=0,
                   record_stride=record_stride, track_averages=track_averages)
-        for sched in scheds], seeds)
+        for sched, stepsize in runs], seeds)
     for k in range(len(cells)):
         agg = _aggregate(cells[k])
         cells[k] = None  # a caller that keeps only its row lets these lanes go
@@ -204,38 +207,43 @@ def _simulate(problem: Problem, scheds: list[Schedule], stepsize, seeds, record_
         yield agg
 
 
-def _stepsize(spec: ExperimentSpec, mu: float, n: int, T: int, c: float | None = None):
-    """The stepsize all cells share at (n, T); c stands in for a swept spec.c."""
+def _stepsize(spec: ExperimentSpec, consts, n: int, T: int, c: float | None = None):
+    """The stepsize of a run at (n, T) with these problem constants; c stands in for a
+    swept spec.c. A bounds theorem fixes the policy; a mismatch, or no beta or c, is a
+    ValueError."""
+    need = ("inverse-time" if spec.theorem == 1 else "constant") if spec.kind == "bounds" else None
+    if need not in (None, spec.stepsize_policy):
+        raise ValueError(f"theorem {spec.theorem} needs the {need} stepsize policy, "
+                         f"got {spec.stepsize_policy!r}")
     if spec.stepsize_policy == "inverse-time":
-        if spec.beta in (None, "auto"):
+        if spec.beta is None or (spec.beta == "auto" and spec.kind != "bounds"):
             raise ValueError(f"{spec.kind} with an inverse-time stepsize needs a numeric beta")
-        return InverseTimeStepsize(mu, float(spec.beta))
+        return InverseTimeStepsize(consts.mu, thm1_beta(spec, consts.mu, consts.L))
     c = spec.c if c is None else c
-    if isinstance(c, tuple):
-        raise ValueError(f"{spec.kind} sweeps are not supported; pass one c")
+    if c is None or isinstance(c, tuple):
+        raise ValueError(f"{spec.kind} with a constant stepsize needs one c, got {c!r}")
     return ConstantStepsize(float(c), n, T)
+
+
+def _final_error(agg: AggregateMetrics, use_r: bool) -> tuple[float, float]:
+    """Seed-mean r_T and its stderr, or without use_r the time-averaged h and its stderr."""
+    return (float(agg.mean_r[-1]), float(agg.se_r[-1])) if use_r else (agg.mean_avg_h, agg.se_avg_h)
 
 
 def _resolve_c(spec: ExperimentSpec, problem: Problem, cell: StrategyCell,
                T: int) -> tuple[float, dict]:
-    """Pick the best constant-stepsize c from a swept tuple (lowest final error).
+    """Pick the best constant-stepsize c from the swept tuple spec.c (lowest final error).
 
-    The sweep drives the given cell on `problem` at horizon T on at most 10 of
-    the spec's seeds; ties go to the smaller c, and a c whose error is not
-    finite (its run diverged) ranks last.
+    Every swept c is a lane of one batch that drives the given cell on
+    `problem` at horizon T on at most 10 of the spec's seeds; ties go to the
+    smaller c, and a c whose error is not finite (its run diverged) ranks last.
     """
-    if not isinstance(spec.c, tuple):
-        return float(spec.c), {}
-    n = problem.n
-    seeds = spec.seeds[: min(10, len(spec.seeds))]
-    sched, _ = cell.build(n, T)
-    use_h = problem.constants().x_star is None
-    scores = []
-    for c in spec.c:
-        [agg] = _simulate(problem, [sched], ConstantStepsize(float(c), n, T), seeds,
-                          record_stride=T, track_averages=use_h, names=None)
-        err = agg.mean_avg_h if use_h else float(agg.mean_r[-1])
-        scores.append((err if math.isfinite(err) else math.inf, float(c)))
+    consts, sched = problem.constants(), cell.build(problem.n, T)[0]
+    use_r = consts.x_star is not None
+    aggs = _simulate(problem, [(sched, _stepsize(spec, consts, problem.n, T, c)) for c in spec.c],
+                     spec.seeds[:10], record_stride=T, track_averages=not use_r, names=None)
+    errs = [_final_error(agg, use_r)[0] for agg in aggs]
+    scores = [(err if math.isfinite(err) else math.inf, float(c)) for err, c in zip(errs, spec.c)]
     best = min(scores)
     return best[1], {"swept_c": [c for _, c in scores], "chosen_c": best[1],
                      "sweep_errors": [e for e, _ in scores]}
@@ -268,10 +276,11 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
     n = problem.n
     x0 = np.zeros(problem.dim)
 
+    if spec.theorem == 1 and (consts.mu <= 0 or consts.x_star is None):
+        raise ValueError("theorem 1 needs a strongly convex family with a minimizer")
+    stepsize = _stepsize(spec, consts, n, T)
     if spec.theorem == 1:
-        if consts.mu <= 0 or consts.x_star is None:
-            raise ValueError("theorem 1 needs a strongly convex family with a minimizer")
-        beta = thm1_beta(spec, consts.mu, consts.L)
+        beta = stepsize.beta
         guard = 20.0 * consts.L / consts.mu
         if beta < guard:
             raise PreconditionError(
@@ -286,8 +295,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
                 "check_thm1_condition",
                 f"round {bad + 1}: H={sched.H[bad]} exceeds cap {cond.caps[bad]:g}",
             )
-        stepsize = InverseTimeStepsize(consts.mu, beta)
-        [agg] = _simulate(problem, [sched], stepsize, spec.seeds,
+        [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
                           record_stride=spec.record_stride, track_averages=False,
                           names=["schedule"])
         r0 = float(np.sum((x0 - consts.x_star) ** 2))
@@ -296,11 +304,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
         measured = float(agg.mean_r[-1])
         return compare(rhs, measured, True), agg
 
-    if isinstance(spec.c, tuple):
-        raise ValueError("bound experiments need a single stepsize constant c, not a sweep")
-    c = float(spec.c)
-    stepsize = ConstantStepsize(c, n, T)
-
+    c = stepsize.c
     if spec.theorem == 2:
         if consts.x_star is None:
             raise ValueError("theorem 2 needs a family with a minimizer")
@@ -310,7 +314,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
                 "check_thm2_condition",
                 f"max H={cond.max_H} exceeds cap sqrt(T)/(7Lc sqrt(n))={cond.cap:g}",
             )
-        [agg] = _simulate(problem, [sched], stepsize, spec.seeds,
+        [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
                           record_stride=1, track_averages=False, names=["schedule"])
         r0 = float(np.sum((x0 - consts.x_star) ** 2))
         rhs = thm2_rhs(sched, r0=r0, c=c, n=n, T=T, L=consts.L,
@@ -324,7 +328,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
             "check_thm3_condition",
             f"max H={cond.max_H} exceeds cap sqrt(T)/(7LBc sqrt(n))={cond.cap:g}",
         )
-    [agg] = _simulate(problem, [sched], stepsize, spec.seeds,
+    [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
                       record_stride=1, track_averages=False, names=["schedule"])
     if consts.f_star is not None:
         e0 = problem.global_value(x0) - consts.f_star
@@ -370,13 +374,13 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
     else:
         raise ValueError("rounds-to-target needs threshold or threshold_auto_factor")
 
-    stepsize = _stepsize(spec, consts.mu, problem.n, spec.t_max)
+    stepsize = _stepsize(spec, consts, problem.n, spec.t_max)
 
-    scheds = [cell.build(problem.n, spec.t_max)[0] for cell in spec.cells]
-    aggs = _simulate(problem, scheds, stepsize, spec.seeds, record_stride=spec.t_max,
+    runs = [(cell.build(problem.n, spec.t_max)[0], stepsize) for cell in spec.cells]
+    aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.t_max,
                      track_averages=False, names=[f"cell {cell.label}" for cell in spec.cells])
     rows = []
-    for cell, sched, agg in zip(spec.cells, scheds, aggs):
+    for cell, (sched, _), agg in zip(spec.cells, runs, aggs):
         series = _measure_series(agg, spec.measure)
         eligible = np.zeros(len(agg.t), dtype=bool)
         eligible[0] = True
@@ -412,24 +416,19 @@ def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict
     rows: list[SpeedupRow] = []
     notes: dict = {}
     for cell in spec.cells:
-        sweep_note: dict = {}
-        c_value: float | None = None
-        if spec.stepsize_policy == "constant":
-            c_value, sweep_note = _resolve_c(spec, problems[max(problems)], cell, T)
-            if sweep_note:
-                notes.setdefault("sweeps", {})[cell.label] = sweep_note
+        c_value = None
+        if spec.stepsize_policy == "constant" and isinstance(spec.c, tuple):
+            c_value, note = _resolve_c(spec, problems[max(problems)], cell, T)
+            notes.setdefault("sweeps", {})[cell.label] = note
         base_mean = base_se = None
         for n, problem in problems.items():
             consts = problem.constants()
             use_r = consts.x_star is not None
             sched, clamped = cell.build(n, T)
-            stepsize = _stepsize(spec, consts.mu, n, T, c_value)
-            [agg] = _simulate(problem, [sched], stepsize, spec.seeds, record_stride=T,
-                              track_averages=not use_r, names=[f"cell {cell.label} at n={n}"])
-            if use_r:
-                mean_err, se_err = float(agg.mean_r[-1]), float(agg.se_r[-1])
-            else:
-                mean_err, se_err = agg.mean_avg_h, agg.se_avg_h
+            [agg] = _simulate(problem, [(sched, _stepsize(spec, consts, n, T, c_value))],
+                              spec.seeds, record_stride=T, track_averages=not use_r,
+                              names=[f"cell {cell.label} at n={n}"])
+            mean_err, se_err = _final_error(agg, use_r)
             if n == 1:
                 base_mean, base_se = mean_err, se_err
                 speedup, se_speedup = 1.0, 0.0
@@ -448,14 +447,15 @@ def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict
 
 
 def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, AggregateMetrics]:
-    """One aggregate series per labeled schedule, shared stepsize and seeds."""
+    """One aggregate series per labeled schedule, shared stepsize and seeds; their
+    mean_avg_e and mean_avg_h are NaN, since no output reads running averages."""
     if not spec.cells:
         raise ValueError("strategy-compare needs at least one cell")
     if spec.T is None or spec.T < 1:
         raise ValueError("strategy-compare needs T >= 1")
     consts = problem.constants()
-    stepsize = _stepsize(spec, consts.mu, problem.n, spec.T)
-    scheds = [cell.build(problem.n, spec.T)[0] for cell in spec.cells]
-    aggs = _simulate(problem, scheds, stepsize, spec.seeds, record_stride=spec.record_stride,
-                     track_averages=True, names=[f"cell {cell.label}" for cell in spec.cells])
+    stepsize = _stepsize(spec, consts, problem.n, spec.T)
+    runs = [(cell.build(problem.n, spec.T)[0], stepsize) for cell in spec.cells]
+    aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.record_stride,
+                     track_averages=False, names=[f"cell {cell.label}" for cell in spec.cells])
     return {cell.label: agg for cell, agg in zip(spec.cells, aggs)}

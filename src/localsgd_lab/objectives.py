@@ -23,14 +23,6 @@ import numpy as np
 
 Vector = np.ndarray
 
-FAMILY_TAGS = (
-    "strongly-convex-quadratic",
-    "convex-quadratic",
-    "nonconvex",
-    "logistic",
-)
-
-
 class ConstantsError(RuntimeError):
     """Raised when a numeric constant oracle fails to converge."""
 
@@ -559,7 +551,7 @@ def make_logistic_family(n: int, d: int, K: int, m: int, shards_per_agent: int,
     return LogisticProblem(features, labels, K, lam, spec)
 
 
-_MAKERS = {
+MAKERS = {  # every problem family, by the name a config's problem block gives it
     "strongly-convex-quadratic": make_strongly_convex_quadratics,
     "convex-quadratic": make_convex_quadratics,
     "nonconvex": make_nonconvex_family,
@@ -571,9 +563,9 @@ def problem_from_spec(spec: dict) -> Problem:
     """Rebuild a problem from its generator spec dict (family + parameters + seed)."""
     spec = dict(spec)
     family = spec.pop("family", None)
-    maker = _MAKERS.get(family)
+    maker = MAKERS.get(family)
     if maker is None:
-        raise ValueError(f"unknown problem family {family!r}; know {sorted(_MAKERS)}")
+        raise ValueError(f"unknown problem family {family!r}; know {sorted(MAKERS)}")
     try:
         inspect.signature(maker).bind(**spec)
     except TypeError as exc:

@@ -25,7 +25,7 @@ from localsgd_lab.cli import (
     spec_from_config,
 )
 from localsgd_lab.harness import RRule
-from localsgd_lab.objectives import problem_from_spec
+from localsgd_lab.objectives import MAKERS, problem_from_spec
 from localsgd_lab.schedules import ALIASES, STRATEGIES, beta_for_increasing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -206,6 +206,43 @@ def test_run_exit2_on_missing_parameter_or_block(tmp_path, capsys):
     assert "needs a schedule block" in capsys.readouterr().err
 
 
+def no_stepsize(cfg):
+    return {key: value for key, value in cfg.items() if key != "stepsize"}
+
+
+STEPSIZE_ERRORS = {
+    "thm1-constant": (lambda out: bounds_cfg(out, stepsize={"policy": "constant", "c": 0.1}),
+                      "theorem 1 needs the inverse-time stepsize policy, got 'constant'"),
+    "thm2-inverse-time-no-c": (
+        lambda out: bounds_cfg(out, **{**PINNED_CONFIGS["thm2-decreasing-power"][0],
+                                       "stepsize": {"policy": "inverse-time"}}),
+        "theorem 2 needs the constant stepsize policy, got 'inverse-time'"),
+    "thm3-inverse-time": (
+        lambda out: bounds_cfg(out, **{**PINNED_CONFIGS["thm3-nonconvex"][0],
+                                       "stepsize": {"policy": "inverse-time", "beta": 80.0}}),
+        "theorem 3 needs the constant stepsize policy, got 'inverse-time'"),
+    "thm2-constant-no-c": (
+        lambda out: bounds_cfg(out, **{**PINNED_CONFIGS["thm2-decreasing-power"][0],
+                                       "stepsize": {"policy": "constant"}}),
+        "bounds with a constant stepsize needs one c, got None"),
+    "strategy-compare": (lambda out: no_stepsize(PINNED_MULTI_CELL["strategy-compare"][0]),
+                         "strategy-compare with a constant stepsize needs one c, got None"),
+    "rounds-to-target": (lambda out: no_stepsize(PINNED_MULTI_CELL["rounds-to-target"][0]),
+                         "rounds-to-target with a constant stepsize needs one c, got None"),
+    "speedup": (lambda out: no_stepsize(speedup_cfg(out)),
+                "speedup with a constant stepsize needs one c, got None"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPSIZE_ERRORS))
+def test_run_exit2_on_missing_or_mismatched_stepsize(tmp_path, capsys, name):
+    make, message = STEPSIZE_ERRORS[name]
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, make(out)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid config: {message}\n"
+
+
 @pytest.mark.parametrize("error", ["KeyError", "TypeError"])
 def test_run_internal_error_is_not_invalid_config(tmp_path, error):
     # a bug inside the harness keeps its traceback instead of exit 2 "invalid config"
@@ -288,8 +325,8 @@ PINNED_MULTI_CELL = {
          "seeds": [9, 4]},
         {"convergence.csv": "abd1d5b24761a206664abf1e472a2d71dbe96c3fefaa958bb60ea0cf70d4275c"}),
     # pinned before the logistic oracles became one batched interface; unequal
-    # shards (8, 7, 6 samples) and track_averages cover its stochastic, value
-    # and gradient oracles and its x* solver
+    # shards (8, 7, 6 samples) cover its stochastic oracle and its x* solver,
+    # and the metric pass its value and gradient oracles
     "strategy-compare-logistic": (
         {"experiment": {"kind": "strategy-compare", "T": 60, "record_stride": 7,
                         "cells": [{"label": "A", "kind": "fixed", "R": 6},
@@ -415,7 +452,11 @@ def test_run_swept_speedup_byte_identical_one_c_per_batch(tmp_path, partition_se
                                                           name):
     # the swept c lanes run as one engine call, then one per call
     cfg, _, _ = PINNED_SWEEPS[name]
+    sizes = partition_seeds()
     whole = run_digests(tmp_path, cfg, "whole")
+    exp, S = cfg["experiment"], len(resolve_seeds(cfg["seeds"]))
+    sweep = [(len(cfg["stepsize"]["c"]), S)] + [(1, S)] * len(exp["n_list"])
+    assert sizes == sweep * len(exp["cells"])
     sizes = partition_seeds(None, 1)
     assert run_digests(tmp_path, cfg, "per-c") == whole
     assert sizes and all(C == 1 for C, _ in sizes)
@@ -632,6 +673,9 @@ def test_every_surface_takes_the_registered_names():
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     [strategy] = [a for a in sub.choices["schedule"]._actions if a.dest == "strategy"]
     assert list(strategy.choices) == names
+    families = CONFIG_SCHEMA["properties"]["problem"]["properties"]["family"]["enum"]
+    assert families == list(MAKERS) == ["strongly-convex-quadratic", "convex-quadratic",
+                                        "nonconvex", "logistic"]
 
 
 def test_readme_config_and_schedule_command_run(tmp_path, capsys):

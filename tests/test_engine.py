@@ -258,18 +258,17 @@ def test_run_validation_errors():
         run_batch(p, cfg(p, sched, ConstantStepsize(0.1, p.n, 10)), [1, 1])
     with pytest.raises(ValueError, match="seed"):
         run_batch(p, cfg(p, sched, ConstantStepsize(0.1, p.n, 10)), [])
-    # the configs of one run_cells batch differ only in schedule and record_stride
+    # the configs of one run_cells batch differ only in schedule, stepsize and record_stride
     base = cfg(p, sched, ConstantStepsize(0.1, p.n, 10))
     with pytest.raises(ValueError, match="config"):
         run_cells(p, [], [0])
     for other in (replace(base, schedule=fixed_schedule(12, 2)),
-                  replace(base, stepsize=ConstantStepsize(0.2, p.n, 10)),
                   replace(base, track_averages=False),
                   replace(base, x0=np.ones(p.dim))):
         with pytest.raises(ValueError, match="must share"):
             run_cells(p, [base, other], [0])
-    lanes = run_cells(p, [base, replace(base, schedule=fixed_schedule(10, 5), record_stride=3)],
-                      [0, 1])
+    lanes = run_cells(p, [base, replace(base, schedule=fixed_schedule(10, 5), record_stride=3,
+                                        stepsize=InverseTimeStepsize(0.2, 30.0))], [0, 1])
     assert [[m.seed for m in cell] for cell in lanes] == [[0, 1], [0, 1]]
 
 
@@ -313,11 +312,14 @@ def batch_cases(draw):
     d = draw(st.integers(2, 5))
     T = draw(st.integers(1, 40))
     cells = []
-    for _ in range(draw(st.integers(1, 4))):  # (schedule, record_stride) per config
+    for _ in range(draw(st.integers(1, 4))):  # (schedule, record_stride, stepsize) per config
         cuts = draw(st.lists(st.integers(1, T - 1), max_size=6, unique=True)) if T > 1 else []
         tau = [0, *sorted(cuts), T]
         cells.append((Schedule(tuple(b - a for a, b in zip(tau, tau[1:]))),
-                      draw(st.integers(1, T + 1))))
+                      draw(st.integers(1, T + 1)),
+                      draw(st.one_of(
+                          st.builds(ConstantStepsize, st.floats(0.05, 1.0), st.just(n), st.just(T)),
+                          st.builds(InverseTimeStepsize, st.floats(0.2, 1.0), st.floats(5.0, 50.0))))))
     track = draw(st.booleans())
     seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=5, unique=True))
     rows = draw(st.sampled_from([1, 2, 3, 64]))  # snapshot rows per metric pass
@@ -331,8 +333,8 @@ def test_batch_equals_one_seed_runs(case, problem_seed):
     family, n, d, cells, track, seeds, rows = case
     p = _family(family, n, d, problem_seed)
     T = cells[0][0].T
-    configs = [cfg(p, sched, ConstantStepsize(0.5, n, T), record_stride=stride,
-                   track_averages=track) for sched, stride in cells]
+    configs = [cfg(p, sched, step, record_stride=stride, track_averages=track)
+               for sched, stride, step in cells]
     with mock.patch.object(engine, "_SNAPSHOT_BYTES", rows * len(seeds) * n * p.dim * 8):
         lanes = run_cells(p, configs, seeds)
     assert len(lanes) == len(configs)
@@ -340,6 +342,28 @@ def test_batch_equals_one_seed_runs(case, problem_seed):
         assert [m.seed for m in cell] == seeds
         for m in cell:
             assert_runs_bitwise_equal(m, run_local_sgd(p, replace(config, seed=m.seed)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch_cases(), st.integers(0, 50))
+def test_averaging_identities_hold_on_every_lane(case, problem_seed):
+    # (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2 at every record point;
+    # at a communication instant every agent holds the average m, so V is only
+    # the rounding of xbar, at most (n eps)^2 ||m||^2 <= (n eps)^2 2 (dist_sq + ||ref||^2)
+    family, n, d, cells, track, seeds, _ = case
+    p = _family(family, n, d, problem_seed)
+    x_star = p.constants().x_star
+    ref_norm_sq = 0.0 if x_star is None else float(x_star @ x_star)
+    configs = [cfg(p, sched, step, record_stride=stride, track_averages=track)
+               for sched, stride, step in cells]
+    residue = (4 * n * np.finfo(float).eps) ** 2
+    for config, lanes in zip(configs, run_cells(p, configs, seeds)):
+        for m in lanes:
+            assert np.all(np.isfinite(m.dist_sq))
+            np.testing.assert_allclose(m.dist_sq, m.V + m.ref_sq, rtol=1e-9, atol=0)
+            comm = m.is_comm
+            assert comm.sum() == config.schedule.R
+            assert np.all(m.V[comm] <= residue * 2 * (m.dist_sq[comm] + ref_norm_sq))
 
 
 SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
@@ -507,6 +531,23 @@ def test_noise_child_is_reaped_after_a_completed_run():
     assert_no_child_left()
     for m, seed in zip(runs, [3, 5]):
         assert_runs_bitwise_equal(m, run_local_sgd(p, replace(config, seed=seed)))
+
+
+@pytest.mark.parametrize("family", ["strongly-convex-quadratic", "logistic"])
+def test_one_cpu_draws_noise_in_process(family, monkeypatch):
+    # a child would only wait for the one CPU: no fork, and the lanes of a forked run
+    p = _family(family, 3, 4, 0)
+    configs = [cfg(p, fixed_schedule(40, 8), ConstantStepsize(0.5, p.n, 40)),
+               cfg(p, fixed_width_schedule(3, 40), InverseTimeStepsize(0.2, 30.0))]
+    with one_step_noise_blocks(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        forked = run_cells(p, configs, [3, 5])
+        assert fork.call_count == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        in_process = run_cells(p, configs, [3, 5])
+        assert fork.call_count == 1
+    for want, got in zip(forked, in_process):
+        for a, b in zip(want, got):
+            assert_runs_bitwise_equal(a, b)
 
 
 def test_noise_child_is_reaped_when_a_step_raises():
