@@ -15,8 +15,8 @@ holding every seed's noise for a run of steps, and each step hands its
 (S, ...) row to stochastic_grads for every config. The process that runs the
 step loop draws the first block. When a run has a second block, a child
 process forked at its start draws the rest into a ring of a few blocks of
-shared memory while the loop steps; a one-block run forks no child, and where
-os.fork does not exist the loop's process draws every block itself. The child
+shared memory while the loop steps; a one-block run forks no child, and on one
+CPU or without os.fork the loop's process draws every block itself. The child
 makes the same draws on the same generators. So a lane's trajectory is
 bit-identical regardless of schedule, recording stride, block size, the
 process that draws its noise, or which configs and seeds share its batch:
@@ -320,9 +320,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
 
     The noise is drawn ahead in blocks of about _NOISE_BYTES. This process
     draws the first; if the run has a second, a child forked here draws the
-    rest while the steps run (see _noise_blocks), and without os.fork this
-    process draws them all. The child is reaped before run_cells returns or
-    raises, and a child that fails raises NoiseDrawError here.
+    rest while the steps run (see _noise_blocks), and on one CPU or without
+    os.fork this process draws them all. The child is reaped before run_cells
+    returns or raises, and a child that fails raises NoiseDrawError here.
     """
     configs = list(configs)
     seeds = [int(s) for s in seeds]
@@ -388,9 +388,12 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     # block[j] is the (S, ...) noise of step t + j, taken at the t that `steps` divides
     steps = max(1, min(T, _NOISE_BYTES // problem.noise_block(S).nbytes))
     grads = problem.stochastic_grads
-    eta = np.array([np.broadcast_to(config.stepsize.at(np.arange(T)), T) for config in configs]).T
-    # a Python float per step when the configs share every eta, else a (C, 1, 1, 1) column
-    eta = eta[:, 0].tolist() if (eta == eta[:, :1]).all() else eta.reshape(T, C, 1, 1, 1)
+    # eta[t]: one scalar when the configs share a stepsize, else a (C, 1, 1, 1) column
+    if all(config.stepsize == first.stepsize for config in configs):
+        eta = np.broadcast_to(first.stepsize.at(np.arange(T)), T)
+    else:
+        eta = np.array([np.broadcast_to(config.stepsize.at(np.arange(T)), T)
+                        for config in configs]).T.reshape(T, C, 1, 1, 1)
     value = problem._global_value
     grad = problem._global_grad
 

@@ -208,11 +208,12 @@ def _simulate(problem: Problem, runs, seeds, record_stride: int,
 
 
 def _stepsize(spec: ExperimentSpec, consts, n: int, T: int, c: float | None = None):
-    """The stepsize of a run at (n, T) with these problem constants; c stands in for a
-    swept spec.c. A bounds theorem fixes the policy; a mismatch, or no beta or c, is a
-    ValueError."""
-    need = ("inverse-time" if spec.theorem == 1 else "constant") if spec.kind == "bounds" else None
-    if need not in (None, spec.stepsize_policy):
+    """The stepsize of a run at (n, T) on a problem with constants `consts`; c
+    stands in for a swept spec.c. A bounds run's theorem fixes the policy, and
+    a mismatched policy or a missing beta or c raises ValueError.
+    """
+    need = "inverse-time" if spec.theorem == 1 else "constant"
+    if spec.kind == "bounds" and spec.stepsize_policy != need:
         raise ValueError(f"theorem {spec.theorem} needs the {need} stepsize policy, "
                          f"got {spec.stepsize_policy!r}")
     if spec.stepsize_policy == "inverse-time":

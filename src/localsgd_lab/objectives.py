@@ -23,6 +23,7 @@ import numpy as np
 
 Vector = np.ndarray
 
+
 class ConstantsError(RuntimeError):
     """Raised when a numeric constant oracle fails to converge."""
 
