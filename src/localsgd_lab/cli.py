@@ -327,13 +327,12 @@ def cmd_run(args) -> int:
     except (ConfigError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
+    outdir = Path(args.out or cfg.get("output") or "results")
     try:
-        outdir = Path(args.out or cfg.get("output") or "results")
-        outdir.mkdir(parents=True, exist_ok=True)
+        # every result is in hand before the output directory is made
         if spec.kind == "bounds":
             rep, agg = run_bounds_experiment(problem, spec)
-            write_metrics_csv(outdir / "metrics.csv", agg)
-            write_bounds_csv(outdir / "bounds.csv", rep)
+            files = {"metrics.csv": (write_metrics_csv, agg), "bounds.csv": (write_bounds_csv, rep)}
             extra = {
                 "theorem": rep.theorem,
                 "holds": rep.holds,
@@ -345,28 +344,29 @@ def cmd_run(args) -> int:
                 extra["beta"] = thm1_beta(spec, consts.mu, consts.L)
         elif spec.kind == "rounds-to-target":
             rows = run_rounds_to_target(problem, spec)
-            write_tradeoff_csv(outdir / "tradeoff.csv", rows)
+            files = {"tradeoff.csv": (write_tradeoff_csv, rows)}
             extra = {
                 "threshold": rows[0].threshold,
                 "measure": spec.measure,
             }
         elif spec.kind == "speedup":
             rows, notes = run_speedup_experiment(spec)
-            write_speedup_csv(outdir / "speedup.csv", rows)
+            files = {"speedup.csv": (write_speedup_csv, rows)}
             extra = {"notes": notes}
         else:
             by_label = run_strategy_compare(problem, spec)
-            write_convergence_csv(outdir / "convergence.csv", by_label)
-            for label, agg in by_label.items():
-                celldir = outdir / "cells" / label
-                celldir.mkdir(parents=True, exist_ok=True)
-                write_metrics_csv(celldir / "metrics.csv", agg)
+            files = {"convergence.csv": (write_convergence_csv, by_label),
+                     **{f"cells/{label}/metrics.csv": (write_metrics_csv, agg)
+                        for label, agg in by_label.items()}}
             extra = {}
         if problem is not None:
             consts = problem.constants()
             names = ("L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "f_star")
             extra["constants"] = {**{name: getattr(consts, name) for name in names},
                                   "provenance": {name: consts.provenance[name] for name in names}}
+        for name, (write, result) in files.items():
+            (outdir / name).parent.mkdir(parents=True, exist_ok=True)
+            write(outdir / name, result)
         _write_meta(outdir, cfg, spec, extra)
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -14,10 +14,9 @@ bit-reproducible from (spec, seeds). The nonconvex error measure is the
 time-averaged squared gradient norm; families with a minimizer use r_T.
 One resolver builds every stepsize: inverse-time 2/(mu(beta+t)), which
 theorem 1 needs, or constant c sqrt(n/T), which theorems 2 and 3 need.
-The cells of rounds-to-target and strategy-compare share problem, stepsize
-and seeds, and the swept c of a speedup cell share its problem, schedule and
-seeds, so each runs as one engine batch; bounds and speedup at each n run one
-schedule per batch.
+Bounds, rounds-to-target and strategy-compare each run as one engine batch.
+A speedup runs one batch per n, every cell a lane with its own c when c is
+swept, after one c-sweep batch of every (cell, c) pair at the largest n.
 """
 
 from __future__ import annotations
@@ -231,23 +230,29 @@ def _final_error(agg: AggregateMetrics, use_r: bool) -> tuple[float, float]:
     return (float(agg.mean_r[-1]), float(agg.se_r[-1])) if use_r else (agg.mean_avg_h, agg.se_avg_h)
 
 
-def _resolve_c(spec: ExperimentSpec, problem: Problem, cell: StrategyCell,
-               T: int) -> tuple[float, dict]:
-    """Pick the best constant-stepsize c from the swept tuple spec.c (lowest final error).
+def _resolve_c(spec: ExperimentSpec, problem: Problem, T: int) -> tuple[list[float], dict]:
+    """Pick each cell's constant-stepsize c from the swept tuple spec.c (lowest final error).
 
-    Every swept c is a lane of one batch that drives the given cell on
-    `problem` at horizon T on at most 10 of the spec's seeds; ties go to the
-    smaller c, and a c whose error is not finite (its run diverged) ranks last.
+    Every (cell, c) pair is a lane of one batch on `problem` at horizon T on at
+    most 10 of the spec's seeds. Returns the chosen c of each cell, in order,
+    and each cell's sweep by label. Ties go to the smaller c; a c whose error is
+    not finite (its run diverged) ranks last, and its error is written as None.
     """
-    consts, sched = problem.constants(), cell.build(problem.n, T)[0]
+    consts = problem.constants()
     use_r = consts.x_star is not None
-    aggs = _simulate(problem, [(sched, _stepsize(spec, consts, problem.n, T, c)) for c in spec.c],
+    scheds = [cell.build(problem.n, T)[0] for cell in spec.cells]
+    aggs = _simulate(problem, [(sched, _stepsize(spec, consts, problem.n, T, c))
+                               for sched in scheds for c in spec.c],
                      spec.seeds[:10], record_stride=T, track_averages=not use_r, names=None)
-    errs = [_final_error(agg, use_r)[0] for agg in aggs]
-    scores = [(err if math.isfinite(err) else math.inf, float(c)) for err, c in zip(errs, spec.c)]
-    best = min(scores)
-    return best[1], {"swept_c": [c for _, c in scores], "chosen_c": best[1],
-                     "sweep_errors": [e for e, _ in scores]}
+    chosen, sweeps = [], {}
+    for cell in spec.cells:
+        errs = [_final_error(next(aggs), use_r)[0] for _ in spec.c]
+        best = min((err if math.isfinite(err) else math.inf, float(c))
+                   for err, c in zip(errs, spec.c))[1]
+        chosen.append(best)
+        sweeps[cell.label] = {"swept_c": [float(c) for c in spec.c], "chosen_c": best,
+                              "sweep_errors": [e if math.isfinite(e) else None for e in errs]}
+    return chosen, sweeps
 
 
 def thm1_beta(spec: ExperimentSpec, mu: float, L: float) -> float:
@@ -267,8 +272,9 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
     Theorem 1 measures seed-mean r_T; Theorems 2 and 3 measure the full time
     average of the seed-mean e_t / h_t, so record_stride is forced to 1 there.
     """
-    if spec.theorem not in (1, 2, 3):
-        raise ValueError(f"theorem must be 1, 2 or 3, got {spec.theorem}")
+    thm = spec.theorem
+    if thm not in (1, 2, 3):
+        raise ValueError(f"theorem must be 1, 2 or 3, got {thm}")
     if spec.schedule_spec is None:
         raise ValueError("a bounds experiment needs a schedule block")
     consts = problem.constants()
@@ -277,71 +283,50 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
     n = problem.n
     x0 = np.zeros(problem.dim)
 
-    if spec.theorem == 1 and (consts.mu <= 0 or consts.x_star is None):
+    if thm == 1 and (consts.mu <= 0 or consts.x_star is None):
         raise ValueError("theorem 1 needs a strongly convex family with a minimizer")
+    if thm == 2 and consts.x_star is None:
+        raise ValueError("theorem 2 needs a family with a minimizer")
+    if thm == 3 and consts.f_star is None and not isinstance(problem, SinusoidQuadraticProblem):
+        raise ValueError("theorem 3 needs f* or a family with a value lower bound")
     stepsize = _stepsize(spec, consts, n, T)
-    if spec.theorem == 1:
-        beta = stepsize.beta
-        guard = 20.0 * consts.L / consts.mu
-        if beta < guard:
-            raise PreconditionError(
-                "check_thm1_condition",
-                f"beta={beta:g} is below the stepsize guard 20L/mu={guard:g} "
-                f"(eta_0 must be <= 1/(10L))",
-            )
+    refusal = None
+    if thm == 1:
+        beta, guard = stepsize.beta, 20.0 * consts.L / consts.mu
         cond = check_thm1_condition(sched, consts.mu, consts.L, beta)
-        if not cond.all_pass:
+        if beta < guard:
+            refusal = (f"beta={beta:g} is below the stepsize guard 20L/mu={guard:g} "
+                       f"(eta_0 must be <= 1/(10L))")
+        elif not cond.all_pass:
             bad = cond.per_round.index(False)
-            raise PreconditionError(
-                "check_thm1_condition",
-                f"round {bad + 1}: H={sched.H[bad]} exceeds cap {cond.caps[bad]:g}",
-            )
-        [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
-                          record_stride=spec.record_stride, track_averages=False,
-                          names=["schedule"])
-        r0 = float(np.sum((x0 - consts.x_star) ** 2))
+            refusal = f"round {bad + 1}: H={sched.H[bad]} exceeds cap {cond.caps[bad]:g}"
+    else:
+        cond = (check_thm2_condition(sched, consts.L, stepsize.c, n, T) if thm == 2 else
+                check_thm3_condition(sched, consts.L, consts.B, stepsize.c, n, T))
+        cap = "sqrt(T)/(7Lc sqrt(n))" if thm == 2 else "sqrt(T)/(7LBc sqrt(n))"
+        if not cond.ok:
+            refusal = f"max H={cond.max_H} exceeds cap {cap}={cond.cap:g}"
+    if refusal is not None:
+        raise PreconditionError(f"check_thm{thm}_condition", refusal)
+
+    [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
+                      record_stride=spec.record_stride if thm == 1 else 1,
+                      track_averages=False, names=["schedule"])
+    r0 = None if consts.x_star is None else float(np.sum((x0 - consts.x_star) ** 2))
+    if thm == 1:
         rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, T=T, mu=consts.mu,
                        L=consts.L, sigma_bar_sq=consts.sigma_bar_sq)
-        measured = float(agg.mean_r[-1])
-        return compare(rhs, measured, True), agg
-
-    c = stepsize.c
-    if spec.theorem == 2:
-        if consts.x_star is None:
-            raise ValueError("theorem 2 needs a family with a minimizer")
-        cond = check_thm2_condition(sched, consts.L, c, n, T)
-        if not cond.ok:
-            raise PreconditionError(
-                "check_thm2_condition",
-                f"max H={cond.max_H} exceeds cap sqrt(T)/(7Lc sqrt(n))={cond.cap:g}",
-            )
-        [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
-                          record_stride=1, track_averages=False, names=["schedule"])
-        r0 = float(np.sum((x0 - consts.x_star) ** 2))
-        rhs = thm2_rhs(sched, r0=r0, c=c, n=n, T=T, L=consts.L,
+        return compare(rhs, float(agg.mean_r[-1]), True), agg
+    if thm == 2:
+        rhs = thm2_rhs(sched, r0=r0, c=stepsize.c, n=n, T=T, L=consts.L,
                        sigma_bar_sq=consts.sigma_bar_sq)
-        measured = math.fsum(agg.mean_e[:-1].tolist()) / T
-        return compare(rhs, measured, True), agg
-
-    cond = check_thm3_condition(sched, consts.L, consts.B, c, n, T)
-    if not cond.ok:
-        raise PreconditionError(
-            "check_thm3_condition",
-            f"max H={cond.max_H} exceeds cap sqrt(T)/(7LBc sqrt(n))={cond.cap:g}",
-        )
-    [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
-                      record_stride=1, track_averages=False, names=["schedule"])
-    if consts.f_star is not None:
-        e0 = problem.global_value(x0) - consts.f_star
-    elif isinstance(problem, SinusoidQuadraticProblem):
-        # a lower bound on f* keeps the bound valid (RHS increasing in e0)
-        e0 = problem.global_value(x0) - problem.value_lower_bound()
     else:
-        raise ValueError("theorem 3 needs f* or a family with a value lower bound")
-    rhs = thm3_rhs(sched, e0=e0, c=c, n=n, T=T, L=consts.L,
-                   sigma_sq=consts.sigma_sq, G=consts.G)
-    measured = math.fsum(agg.mean_h[:-1].tolist()) / T
-    return compare(rhs, measured, True), agg
+        # without f*, a lower bound on it keeps the bound valid (RHS increasing in e0)
+        f_low = consts.f_star if consts.f_star is not None else problem.value_lower_bound()
+        rhs = thm3_rhs(sched, e0=problem.global_value(x0) - f_low, c=stepsize.c, n=n, T=T,
+                       L=consts.L, sigma_sq=consts.sigma_sq, G=consts.G)
+    series = agg.mean_e if thm == 2 else agg.mean_h
+    return compare(rhs, math.fsum(series[:-1].tolist()) / T, True), agg
 
 
 def _measure_series(agg: AggregateMetrics, measure: str) -> np.ndarray:
@@ -399,10 +384,10 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
 def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict]:
     """Error vs n at fixed T, normalized by the n=1 single-worker run.
 
-    The problem is rebuilt from its generator spec once per n and shared by
-    every cell and the c-sweep. Families with a minimizer are scored by
-    seed-mean r_T, the nonconvex family by the time-averaged squared gradient
-    norm. Returns the rows and the notes: under "sweeps", the c-sweep of every
+    The problem is rebuilt from its generator spec once per n, and each n runs
+    every cell as one batch; the c-sweep runs at the largest n. Families with
+    a minimizer are scored by seed-mean r_T, the nonconvex family by the
+    time-averaged squared gradient norm. Returns the rows and the notes: under "sweeps", the c-sweep of every
     cell that swept c, by label.
     """
     if not spec.cells:
@@ -414,26 +399,24 @@ def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict
     T = spec.T
     problems = {n: problem_from_spec({**spec.problem, "n": n}) for n in spec.n_list}
 
-    rows: list[SpeedupRow] = []
     notes: dict = {}
-    for cell in spec.cells:
-        c_value = None
-        if spec.stepsize_policy == "constant" and isinstance(spec.c, tuple):
-            c_value, note = _resolve_c(spec, problems[max(problems)], cell, T)
-            notes.setdefault("sweeps", {})[cell.label] = note
-        base_mean = base_se = None
-        for n, problem in problems.items():
-            consts = problem.constants()
-            use_r = consts.x_star is not None
-            sched, clamped = cell.build(n, T)
-            [agg] = _simulate(problem, [(sched, _stepsize(spec, consts, n, T, c_value))],
-                              spec.seeds, record_stride=T, track_averages=not use_r,
-                              names=[f"cell {cell.label} at n={n}"])
+    cs = [None] * len(spec.cells)
+    if spec.stepsize_policy == "constant" and isinstance(spec.c, tuple):
+        cs, notes["sweeps"] = _resolve_c(spec, problems[max(problems)], T)
+    by_cell: list[list[SpeedupRow]] = [[] for _ in spec.cells]
+    for n, problem in problems.items():  # ascending, so n=1 comes first
+        consts = problem.constants()
+        use_r = consts.x_star is not None
+        built = [cell.build(n, T) for cell in spec.cells]
+        aggs = _simulate(problem, [(sched, _stepsize(spec, consts, n, T, c))
+                                   for (sched, _), c in zip(built, cs)],
+                         spec.seeds, record_stride=T, track_averages=not use_r,
+                         names=[f"cell {cell.label} at n={n}" for cell in spec.cells])
+        for cell, (sched, clamped), agg, rows in zip(spec.cells, built, aggs, by_cell):
             mean_err, se_err = _final_error(agg, use_r)
-            if n == 1:
-                base_mean, base_se = mean_err, se_err
-                speedup, se_speedup = 1.0, 0.0
-            else:
+            speedup, se_speedup = 1.0, 0.0
+            if n != 1:
+                base_mean, base_se = rows[0].mean_error, rows[0].stderr
                 speedup = base_mean / mean_err
                 rel = 0.0
                 if base_mean > 0 and mean_err > 0:
@@ -444,7 +427,7 @@ def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict
                 mean_error=mean_err, stderr=se_err,
                 speedup=speedup, se_speedup=se_speedup, clamped=clamped,
             ))
-    return rows, notes
+    return [row for rows in by_cell for row in rows], notes
 
 
 def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, AggregateMetrics]:

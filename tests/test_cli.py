@@ -243,6 +243,40 @@ def test_run_exit2_on_missing_or_mismatched_stepsize(tmp_path, capsys, name):
     assert err == f"invalid config: {message}\n"
 
 
+# configs the harness rejects, with the exact message; the refusal details
+# are those each theorem's check gave before the three theorems shared one path
+REJECTED = {
+    "exit2-speedup-no-stepsize": (
+        lambda out: no_stepsize(speedup_cfg(out)), 2,
+        "invalid config: speedup with a constant stepsize needs one c, got None"),
+    "exit3-thm1-guard": (
+        lambda out: bounds_cfg(out, stepsize={"policy": "inverse-time", "beta": 10.0}), 3,
+        "refused: check_thm1_condition: beta=10 is below the stepsize guard 20L/mu=80 "
+        "(eta_0 must be <= 1/(10L))"),
+    "exit3-thm1-round-cap": (
+        lambda out: bounds_cfg(out, schedule={"strategy": "fixed", "T": 200, "R": 2},
+                               stepsize={"policy": "inverse-time", "beta": 80.0}), 3,
+        "refused: check_thm1_condition: round 1: H=100 exceeds cap 1.66667"),
+    "exit3-thm2-cap": (
+        lambda out: bounds_cfg(out, **{**PINNED_CONFIGS["thm2-decreasing-power"][0],
+                                       "stepsize": {"policy": "constant", "c": 5.0}}), 3,
+        "refused: check_thm2_condition: max H=19 exceeds cap sqrt(T)/(7Lc sqrt(n))=0.101015"),
+    "exit3-thm3-cap": (
+        lambda out: bounds_cfg(out, **{**PINNED_CONFIGS["thm3-nonconvex"][0],
+                                       "stepsize": {"policy": "constant", "c": 5.0}}), 3,
+        "refused: check_thm3_condition: max H=2 exceeds cap sqrt(T)/(7LBc sqrt(n))=0.168359"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_run_rejected_by_harness_leaves_no_output_dir(tmp_path, capsys, name):
+    make, code, message = REJECTED[name]
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, make(out)), "--out", str(out)]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", ["KeyError", "TypeError"])
 def test_run_internal_error_is_not_invalid_config(tmp_path, error):
     # a bug inside the harness keeps its traceback instead of exit 2 "invalid config"
@@ -380,7 +414,8 @@ PINNED_SPEEDUP = (
 
 # swept-c speedups, pinned to the speedup.csv digest and notes.sweeps they had
 # when every swept c ran as a batch of its own: logistic is scored by r_T, the
-# nonconvex family by the time-averaged h, and its c = 200 diverges
+# nonconvex family by the time-averaged h, and its c = 200 diverges, so its
+# sweep error is written as null
 PINNED_SWEEPS = {
     "logistic": (
         {"experiment": {"kind": "speedup", "T": 120, "n_list": [1, 2, 4],
@@ -405,7 +440,7 @@ PINNED_SWEEPS = {
          "seeds": [4, 9, 2]},
         "e42b8e79d1b5e4ea248e344b070f82737f3f847d9a55dddfa51898552b4dd843",
         {"f": {"chosen_c": 0.3, "swept_c": [0.05, 0.3, 200.0],
-               "sweep_errors": [0.14756323962049941, 0.06413923536247472, math.inf]}}),
+               "sweep_errors": [0.14756323962049941, 0.06413923536247472, None]}}),
 }
 
 
@@ -439,29 +474,42 @@ def test_run_speedup_csv_digest_pinned(tmp_path, capsys):
     assert run_digests(tmp_path, cfg) == digests
 
 
+def reject_constant(name):
+    raise ValueError(f"run_meta.json holds the non-JSON constant {name}")
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
 def test_run_swept_speedup_pinned(tmp_path, capsys, name):
     cfg, digest, sweeps = PINNED_SWEEPS[name]
     assert run_digests(tmp_path, cfg) == {"speedup.csv": digest}
-    assert json.loads((tmp_path / "res" / "run_meta.json").read_text())["notes"] == {
-        "sweeps": sweeps}
+    text = (tmp_path / "res" / "run_meta.json").read_text()
+    assert json.loads(text, parse_constant=reject_constant)["notes"] == {"sweeps": sweeps}
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
-def test_run_swept_speedup_byte_identical_one_c_per_batch(tmp_path, partition_seeds, capsys,
-                                                          name):
-    # the swept c lanes run as one engine call, then one per call
-    cfg, _, _ = PINNED_SWEEPS[name]
+def check_speedup_layouts(tmp_path, partition_seeds, cfg):
+    """One sweep call of every (cell, c) pair when c is swept, then one call of
+    every cell per n; one config per call writes the same bytes."""
     sizes = partition_seeds()
     whole = run_digests(tmp_path, cfg, "whole")
     exp, S = cfg["experiment"], len(resolve_seeds(cfg["seeds"]))
-    sweep = [(len(cfg["stepsize"]["c"]), S)] + [(1, S)] * len(exp["n_list"])
-    assert sizes == sweep * len(exp["cells"])
+    C, c = len(exp["cells"]), cfg["stepsize"]["c"]
+    sweep = [(C * len(c), min(S, 10))] if isinstance(c, list) else []
+    assert sizes == sweep + [(C, S)] * len(exp["n_list"])
     sizes = partition_seeds(None, 1)
     assert run_digests(tmp_path, cfg, "per-c") == whole
     assert sizes and all(C == 1 for C, _ in sizes)
     meta = [(tmp_path / out / "run_meta.json").read_bytes() for out in ("whole", "per-c")]
     assert meta[0] == meta[1]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_run_swept_speedup_byte_identical_one_c_per_batch(tmp_path, partition_seeds, capsys,
+                                                          name):
+    check_speedup_layouts(tmp_path, partition_seeds, PINNED_SWEEPS[name][0])
+
+
+def test_run_speedup_byte_identical_one_cell_per_batch(tmp_path, partition_seeds, capsys):
+    check_speedup_layouts(tmp_path, partition_seeds, PINNED_SPEEDUP[0])
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_MULTI_CELL))
@@ -536,6 +584,32 @@ def test_run_exit4_names_first_diverged_cell(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith("numerical failure: cell wilder: seeds")
     cfg["experiment"]["cells"] = cfg["experiment"]["cells"][:1]
     assert main(["run", write_cfg(tmp_path, cfg)]) == 0
+
+
+def test_run_exit4_names_first_diverged_speedup_lane(tmp_path, capsys):
+    # eta = c sqrt(n/T) grows with n: averaging every step overflows only at
+    # n=4, 40 local steps already at n=2; each n is one batch, so the error
+    # names the smallest n that diverges, and at that n the first such cell
+    cfg = {
+        "experiment": {"kind": "speedup", "T": 400, "n_list": [1, 2, 4],
+                       "cells": [{"label": "calm", "kind": "fixed-width", "H": 1},
+                                 {"label": "wide", "kind": "fixed-width", "H": 40}]},
+        "problem": {"family": "convex-quadratic", "n": 1, "d": 5, "L": 1.0, "eps_pd": 0.01,
+                    "delta": 1.0, "sigma_noise": 1.0, "seed": 0},
+        "stepsize": {"policy": "constant", "c": 50.0},
+        "seeds": [0, 1, 2],
+    }
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: cell wide at n=2: seeds [0, 1, 2] diverged "
+                   "(non-finite iterate); lower the stepsize\n")
+    assert not out.exists()
+    del cfg["experiment"]["cells"][1]
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: cell calm at n=4: seeds")
+    cfg["experiment"]["n_list"] = [1, 2]
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
 
 
 def test_run_seed_offset(tmp_path, capsys):
