@@ -241,39 +241,6 @@ def test_run_exit2_on_missing_or_mismatched_stepsize(tmp_path, capsys, name):
     assert main(["run", write_cfg(tmp_path, make(out)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"invalid config: {message}\n"
-
-
-# configs the harness rejects, with the exact message; the refusal details
-# are those each theorem's check gave before the three theorems shared one path
-REJECTED = {
-    "exit2-speedup-no-stepsize": (
-        lambda out: no_stepsize(speedup_cfg(out)), 2,
-        "invalid config: speedup with a constant stepsize needs one c, got None"),
-    "exit3-thm1-guard": (
-        lambda out: bounds_cfg(out, stepsize={"policy": "inverse-time", "beta": 10.0}), 3,
-        "refused: check_thm1_condition: beta=10 is below the stepsize guard 20L/mu=80 "
-        "(eta_0 must be <= 1/(10L))"),
-    "exit3-thm1-round-cap": (
-        lambda out: bounds_cfg(out, schedule={"strategy": "fixed", "T": 200, "R": 2},
-                               stepsize={"policy": "inverse-time", "beta": 80.0}), 3,
-        "refused: check_thm1_condition: round 1: H=100 exceeds cap 1.66667"),
-    "exit3-thm2-cap": (
-        lambda out: bounds_cfg(out, **{**PINNED_CONFIGS["thm2-decreasing-power"][0],
-                                       "stepsize": {"policy": "constant", "c": 5.0}}), 3,
-        "refused: check_thm2_condition: max H=19 exceeds cap sqrt(T)/(7Lc sqrt(n))=0.101015"),
-    "exit3-thm3-cap": (
-        lambda out: bounds_cfg(out, **{**PINNED_CONFIGS["thm3-nonconvex"][0],
-                                       "stepsize": {"policy": "constant", "c": 5.0}}), 3,
-        "refused: check_thm3_condition: max H=2 exceeds cap sqrt(T)/(7LBc sqrt(n))=0.168359"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(REJECTED))
-def test_run_rejected_by_harness_leaves_no_output_dir(tmp_path, capsys, name):
-    make, code, message = REJECTED[name]
-    out = tmp_path / "res"
-    assert main(["run", write_cfg(tmp_path, make(out)), "--out", str(out)]) == code
-    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
 
 
@@ -461,6 +428,36 @@ def test_run_bounds_csv_digests_pinned(tmp_path, capsys, name):
         assert hashlib.sha256((out / csv_name).read_bytes()).hexdigest() == digest, csv_name
 
 
+# the refusal details each theorem's check gave before the three theorems
+# shared one path
+REFUSALS = {
+    "thm1-guard": (
+        {"stepsize": {"policy": "inverse-time", "beta": 10.0}},
+        "check_thm1_condition: beta=10 is below the stepsize guard 20L/mu=80 "
+        "(eta_0 must be <= 1/(10L))"),
+    "thm1-round-cap": (
+        {"schedule": {"strategy": "fixed", "T": 200, "R": 2},
+         "stepsize": {"policy": "inverse-time", "beta": 80.0}},
+        "check_thm1_condition: round 1: H=100 exceeds cap 1.66667"),
+    "thm2-cap": (
+        {**PINNED_CONFIGS["thm2-decreasing-power"][0],
+         "stepsize": {"policy": "constant", "c": 5.0}},
+        "check_thm2_condition: max H=19 exceeds cap sqrt(T)/(7Lc sqrt(n))=0.101015"),
+    "thm3-cap": (
+        {**PINNED_CONFIGS["thm3-nonconvex"][0], "stepsize": {"policy": "constant", "c": 5.0}},
+        "check_thm3_condition: max H=2 exceeds cap sqrt(T)/(7LBc sqrt(n))=0.168359"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_run_exit3_refusal_pinned_and_leaves_no_output_dir(tmp_path, capsys, name):
+    tweaks, detail = REFUSALS[name]
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, bounds_cfg(out, **tweaks)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"refused: {detail}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", sorted(PINNED_MULTI_CELL))
 def test_run_multi_cell_csv_digests_pinned(tmp_path, capsys, kind):
     cfg, digests = PINNED_MULTI_CELL[kind]
@@ -497,7 +494,7 @@ def check_speedup_layouts(tmp_path, partition_seeds, cfg):
     assert sizes == sweep + [(C, S)] * len(exp["n_list"])
     sizes = partition_seeds(None, 1)
     assert run_digests(tmp_path, cfg, "per-c") == whole
-    assert sizes and all(C == 1 for C, _ in sizes)
+    assert sizes and all(k == 1 for k, _ in sizes)
     meta = [(tmp_path / out / "run_meta.json").read_bytes() for out in ("whole", "per-c")]
     assert meta[0] == meta[1]
 
