@@ -12,7 +12,8 @@ Gradient noise at step t comes from a counter-based generator keyed by
 (seed, t), with agent i reading row i of the step's noise block. It does not
 depend on the state, so it is drawn ahead in blocks of about 64 KiB, each
 holding every seed's noise for a run of steps, and each step hands its
-(S, ...) row to stochastic_grads for every config. The process that runs the
+(S, ...) row to stochastic_grads for every config, which writes the step's
+gradients into one buffer the batch holds. The process that runs the
 step loop draws the first block. When a run has a second block, a child
 process forked at its start draws the rest into a ring of a few blocks of
 shared memory while the loop steps; a one-block run forks no child, and on one
@@ -24,13 +25,15 @@ running them all at once, in chunks, or one at a time writes the same bytes.
 RunMetrics.wall_time is the wall time of the whole batch.
 
 Recorded series (sampled at t = 0, multiples of record_stride, every
-communication instant, and t = T). A record point only copies the (S, n, d)
-states of the configs that record there into a snapshot buffer of about
-64 KiB; when the buffer fills, and once after the last step, the series of
-every buffered snapshot are computed in one batched pass, with the same
-formulas as a per-snapshot evaluation and so with the same bits, and each
-config's columns go to its own series. V is computed from the full state:
-after averaging it is rounding residue, not exactly 0.
+communication instant, and t = T). A config computes only the series it names
+in RunConfig.series (all six by default); the others stay NaN, and a config
+that names none copies no state at all. A record point only copies the
+(S, n, d) states of the configs that record there into a snapshot buffer of
+about 64 KiB; when the buffer fills, and once after the last step, the series
+the batch's configs name are computed for every buffered snapshot in one
+batched pass, with the same formulas as a per-snapshot evaluation and so with
+the same bits, and each config's columns go to its own series. V is computed
+from the full state: after averaging it is rounding residue, not exactly 0.
 
   r_t  = ||xbar_t - x*||^2          (NaN when the family has no x*)
   e_t  = f(xbar_t) - f*             (NaN likewise)
@@ -210,12 +213,17 @@ class RunConfig:
     seed: int
     record_stride: int = 1
     track_averages: bool = True
+    series: tuple[str, ...] = _SERIES  # the series computed at record points, from _SERIES
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         if x0.ndim != 1 or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite 1-D vector")
         object.__setattr__(self, "x0", x0)
+        unknown = set(self.series) - set(_SERIES)
+        if isinstance(self.series, str) or unknown:
+            raise ValueError(f"series must name some of {_SERIES}, got {self.series!r}")
+        object.__setattr__(self, "series", tuple(s for s in _SERIES if s in self.series))
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.record_stride < 1:
@@ -232,9 +240,11 @@ class RunMetrics:
 
     dist_sq and ref_sq are diagnostics for the averaging identity
     (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2 with ref = x* when the
-    family has one, else the origin. wall_time is the wall time of the whole
-    batch that ran this lane, all its configs and seeds, so every lane of one
-    batch reports the same value.
+    family has one, else the origin. series names the series the config
+    computed; every other one is NaN. avg_e and avg_h are NaN unless
+    track_averages. wall_time is the wall time of the whole batch that ran
+    this lane, all its configs and seeds, so every lane of one batch reports
+    the same value.
     """
 
     seed: int
@@ -251,14 +261,18 @@ class RunMetrics:
     avg_e: float
     avg_h: float
     wall_time: float
+    series: tuple[str, ...]
+    track_averages: bool
 
 
 @dataclass(eq=False)
 class AggregateMetrics:
     """Seed-averaged series; stderr uses ddof=1 (0 when only one seed).
 
-    diverged lists the seeds whose final averaged iterate is not finite or
-    whose recorded r, e, V or h overflowed to infinity.
+    The series the runs did not compute have NaN means and standard errors.
+    diverged lists the seeds whose final averaged iterate is not finite,
+    whose computed r, e, V or h overflowed to infinity, or whose tracked
+    running average of h is not finite.
     """
 
     t: np.ndarray
@@ -313,10 +327,10 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     Each (config, seed) pair is a lane, and all lanes share one (C, S, n, d)
     state that every step advances in one numpy pass. The configs must share
     n, x0, T and track_averages; they may differ in schedule, stepsize (each
-    evaluated for all T steps up front) and record_stride, and config.seed is
-    ignored. Seed s's noise for step t is drawn once, from its own (seed, t)
-    stream, for every config, so a lane's metrics are bitwise those of the
-    one-config, one-seed batch.
+    evaluated for all T steps up front), record_stride and series, and
+    config.seed is ignored. Seed s's noise for step t is drawn once, from its
+    own (seed, t) stream, for every config, so a lane's metrics are bitwise
+    those of the one-config, one-seed batch.
 
     The noise is drawn ahead in blocks of about _NOISE_BYTES. This process
     draws the first; if the run has a second, a child forked here draws the
@@ -363,26 +377,33 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     record |= comm
     rec_t = [np.flatnonzero(mask) for mask in record]
     rec_comm = [comm[k, t] for k, t in enumerate(rec_t)]
-    store = [np.full((len(_SERIES), S, len(t)), np.nan) for t in rec_t]
+    # the series some config computes, in _SERIES order, and each config's rows of them
+    need = [name for name in _SERIES if any(name in config.series for config in configs)]
+    picks = [slice(None) if list(config.series) == need else
+             [need.index(name) for name in config.series] for config in configs]
+    store = [np.empty((len(config.series), S, len(t))) for config, t in zip(configs, rec_t)]
     filled = [0] * C
+    # a config that computes no series records its t but copies no state
+    snap = record & np.array([[bool(config.series)] for config in configs])
 
-    # what happens after step t - 1, one plan per distinct column of (comm; record):
-    # the configs averaged and the configs recorded, each None (no config), a slice
-    # (a run of configs, indexed as a view) or their indices, and the recorded indices
+    # what happens after step t - 1, one plan per distinct column of (comm; snap):
+    # the configs averaged and the configs copied, each None (no config), a slice
+    # (a run of configs, indexed as a view) or their indices, and the copied indices
     def lanes(mask):
         ids = np.flatnonzero(mask)
         run = len(ids) and ids[-1] - ids[0] == len(ids) - 1
         return slice(ids[0], ids[-1] + 1) if run else ids if len(ids) else None
 
-    packed = np.ascontiguousarray(np.packbits(np.vstack([comm, record]), axis=0).T)
+    packed = np.ascontiguousarray(np.packbits(np.vstack([comm, snap]), axis=0).T)
     _, first_t, plan_at = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)
-    plans = [(lanes(comm[:, t]), lanes(record[:, t]), np.flatnonzero(record[:, t]))
+    plans = [(lanes(comm[:, t]), lanes(snap[:, t]), np.flatnonzero(snap[:, t]))
              for t in first_t.tolist()]
     plan = [plans[i] for i in plan_at.tolist()]
 
     X = np.tile(first.x0, (C, S, n, 1))
     Y = X[0] if C == 1 else X  # the stepped view; one config skips broadcasting a unit axis
+    G = np.empty(Y.shape)  # the stochastic gradient of each step
     noise = None
     steppers = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else []
     # block[j] is the (S, ...) noise of step t + j, taken at the t that `steps` divides
@@ -414,23 +435,29 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         held += len(ids)
 
     def flush():
-        """Series of the held rows at once, (k, S, ...) -> each config's columns."""
+        """The needed series of the held rows at once, (k, S, ...) -> each config's columns."""
         nonlocal held
         Xs = snaps[:held]
         xbar = np.add.reduce(Xs, axis=2) / n  # ndarray.mean's bits, without its wrapper
-        diff = Xs - xbar[:, :, None]
-        dref = Xs - ref
-        rv = xbar - ref
-        ref_sq = np.vecdot(rv, rv)
         rows = xbar.reshape(-1, d)
-        g = grad(rows)
-        if have_star:
-            r, e = ref_sq, (value(rows) - f_star).reshape(held, S)
-        else:
-            r = e = np.full(ref_sq.shape, np.nan)
-        vals = np.stack([r, e, np.einsum("ksij,ksij->ks", diff, diff) / n,
-                         np.vecdot(g, g).reshape(held, S),
-                         np.einsum("ksij,ksij->ks", dref, dref) / n, ref_sq])
+        out = {} if have_star else dict.fromkeys(("r", "e"), np.full((held, S), np.nan))
+        if "r" in need or "ref_sq" in need:
+            rv = xbar - ref
+            out["ref_sq"] = np.vecdot(rv, rv)
+            if have_star:
+                out["r"] = out["ref_sq"]
+        if "e" in need and have_star:
+            out["e"] = (value(rows) - f_star).reshape(held, S)
+        if "V" in need:
+            diff = Xs - xbar[:, :, None]
+            out["V"] = np.einsum("ksij,ksij->ks", diff, diff) / n
+        if "h" in need:
+            g = grad(rows)
+            out["h"] = np.vecdot(g, g).reshape(held, S)
+        if "dist_sq" in need:
+            dref = Xs - ref
+            out["dist_sq"] = np.einsum("ksij,ksij->ks", dref, dref) / n
+        vals = np.stack([out[name] for name in need])
         counts = [held]
         if C > 1:  # group the rows by config, keeping their order in time
             owner = np.concatenate(owners)
@@ -439,7 +466,8 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         lo = 0
         for k, m in enumerate(counts):
             if m:
-                store[k][:, :, filled[k]:filled[k] + m] = vals[:, lo:lo + m].transpose(0, 2, 1)
+                cols = vals[picks[k], lo:lo + m]
+                store[k][:, :, filled[k]:filled[k] + m] = cols.transpose(0, 2, 1)
                 filled[k] += m
                 lo += m
         owners.clear()
@@ -448,7 +476,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     wall = time.perf_counter()
     with (np.errstate(over="ignore", invalid="ignore"),  # _aggregate reports divergence
           contextlib.closing(_noise_blocks(problem, steppers, T, steps)) as blocks):
-        snapshot(..., np.arange(C))  # every config records t = 0
+        _, rec, ids = plan[0]  # every config records t = 0
+        if rec is not None:
+            snapshot(rec, ids)
         for t in range(T):
             if track:
                 xbar = (np.add.reduce(X, axis=2) / n).reshape(-1, d)
@@ -461,7 +491,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                 if not j:
                     block = next(blocks)
                 noise = block[j]
-            G = grads(Y, noise)
+            grads(Y, noise, out=G)
             G *= eta[t]
             Y -= G
             avg, rec, ids = plan[t + 1]
@@ -477,10 +507,12 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     nan_lanes = np.full((C, S), np.nan).tolist()
     avg_e = (sum_e.s / T).reshape(C, S).tolist() if (track and have_star) else nan_lanes
     avg_h = (sum_h.s / T).reshape(C, S).tolist() if track else nan_lanes
+    unset = [dict.fromkeys(_SERIES, _unset(len(t))) for t in rec_t]  # shared by a config's lanes
     return [
         [RunMetrics(seed=seed, t=rec_t[k], is_comm=rec_comm[k], final_x_bar=final_x_bar[k, j],
                     rounds_used=config.schedule.R, avg_e=avg_e[k][j], avg_h=avg_h[k][j],
-                    wall_time=wall, **dict(zip(_SERIES, store[k][:, j])))
+                    wall_time=wall, series=config.series, track_averages=track,
+                    **(unset[k] | dict(zip(config.series, store[k][:, j]))))
          for j, seed in enumerate(seeds)]
         for k, config in enumerate(configs)
     ]
@@ -540,20 +572,32 @@ def _fsum_mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
+def _unset(k: int) -> np.ndarray:
+    """A read-only series of k NaNs: the value of every series a run did not compute."""
+    a = np.full(k, np.nan)
+    a.flags.writeable = False
+    return a
+
+
 def _diverged(m: RunMetrics) -> bool:
-    return not np.all(np.isfinite(m.final_x_bar)) or any(
-        np.isinf(series).any() for series in (m.r, m.e, m.V, m.h))
+    # h_t is finite until the run overflows, so a tracked avg_h is finite until then
+    return (not np.all(np.isfinite(m.final_x_bar))
+            or (m.track_averages and not math.isfinite(m.avg_h))
+            or any(np.isinf(getattr(m, name)).any() for name in ("r", "e", "V", "h")
+                   if name in m.series))
 
 
 def _aggregate(runs) -> AggregateMetrics:
     """Seed-averaged metrics of one config's runs; reduction happens in
     ascending-seed order so the result is independent of the order and
-    partition of the seeds."""
+    partition of the seeds. Only the series the runs computed are reduced."""
     runs = sorted(runs, key=lambda m: m.seed)
     stats = {}
+    unset = _unset(len(runs[0].t))
     for name in ("r", "e", "V", "h"):
-        stats[f"mean_{name}"], stats[f"se_{name}"] = _mean_se(
-            np.stack([getattr(m, name) for m in runs]))
+        stats[f"mean_{name}"], stats[f"se_{name}"] = (
+            _mean_se(np.stack([getattr(m, name) for m in runs]))
+            if name in runs[0].series else (unset, unset))
     means, ses = _mean_se(np.array([[m.avg_e, m.avg_h] for m in runs]))
     return AggregateMetrics(
         t=runs[0].t.copy(), is_comm=runs[0].is_comm.copy(), **stats,

@@ -17,6 +17,11 @@ theorem 1 needs, or constant c sqrt(n/T), which theorems 2 and 3 need.
 Bounds, rounds-to-target and strategy-compare each run as one engine batch.
 A speedup runs one batch per n, every cell a lane with its own c when c is
 swept, after one c-sweep batch of every (cell, c) pair at the largest n.
+
+Each protocol computes only the series it reads: bounds and strategy-compare
+all six, since they write them; rounds-to-target its measure (r, e or h);
+speedup and its c-sweep r when the family has a minimizer, and none
+otherwise, since the nonconvex error is the running average of h.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, BoundTerms, compare, thm1_rhs, thm2_rhs, thm3_rhs
+from .bounds import BoundReport, compare, thm1_rhs, thm2_rhs, thm3_rhs
 from .engine import (
     AggregateMetrics,
     ConstantStepsize,
     InverseTimeStepsize,
     RunConfig,
+    _SERIES,
     _aggregate,
     run_cells,
 )
@@ -183,19 +189,19 @@ class ExperimentSpec:
             raise ValueError(f"measure must be r, e or h, got {self.measure!r}")
 
 
-def _simulate(problem: Problem, runs, seeds, record_stride: int,
-              track_averages: bool, names: list[str] | None) -> Iterator[AggregateMetrics]:
+def _simulate(problem: Problem, runs, seeds, record_stride: int, track_averages: bool,
+              names: list[str] | None, series=_SERIES) -> Iterator[AggregateMetrics]:
     """Seed-mean metrics of each (schedule, stepsize) run from x0 = 0, yielded in order.
 
-    All runs go as one engine batch; each is reduced over its seeds only when
-    the caller asks for it. With names (one per run), the first run whose
-    seeds diverged raises DivergenceError naming it; with names=None diverged
-    seeds are left in the result.
+    All runs go as one engine batch and compute the given series; each is
+    reduced over its seeds only when the caller asks for it. With names (one
+    per run), the first run whose seeds diverged raises DivergenceError naming
+    it; with names=None diverged seeds are left in the result.
     """
     x0 = np.zeros(problem.dim)
     cells = run_cells(problem, [
         RunConfig(n=problem.n, schedule=sched, stepsize=stepsize, x0=x0, seed=0,
-                  record_stride=record_stride, track_averages=track_averages)
+                  record_stride=record_stride, track_averages=track_averages, series=series)
         for sched, stepsize in runs], seeds)
     for k in range(len(cells)):
         agg = _aggregate(cells[k])
@@ -243,7 +249,8 @@ def _resolve_c(spec: ExperimentSpec, problem: Problem, T: int) -> tuple[list[flo
     scheds = [cell.build(problem.n, T)[0] for cell in spec.cells]
     aggs = _simulate(problem, [(sched, _stepsize(spec, consts, problem.n, T, c))
                                for sched in scheds for c in spec.c],
-                     spec.seeds[:10], record_stride=T, track_averages=not use_r, names=None)
+                     spec.seeds[:10], record_stride=T, track_averages=not use_r, names=None,
+                     series=("r",) if use_r else ())
     chosen, sweeps = [], {}
     for cell in spec.cells:
         errs = [_final_error(next(aggs), use_r)[0] for _ in spec.c]
@@ -363,8 +370,8 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
     stepsize = _stepsize(spec, consts, problem.n, spec.t_max)
 
     runs = [(cell.build(problem.n, spec.t_max)[0], stepsize) for cell in spec.cells]
-    aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.t_max,
-                     track_averages=False, names=[f"cell {cell.label}" for cell in spec.cells])
+    aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.t_max, track_averages=False,
+                     names=[f"cell {cell.label}" for cell in spec.cells], series=(spec.measure,))
     rows = []
     for cell, (sched, _), agg in zip(spec.cells, runs, aggs):
         series = _measure_series(agg, spec.measure)
@@ -411,7 +418,8 @@ def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict
         aggs = _simulate(problem, [(sched, _stepsize(spec, consts, n, T, c))
                                    for (sched, _), c in zip(built, cs)],
                          spec.seeds, record_stride=T, track_averages=not use_r,
-                         names=[f"cell {cell.label} at n={n}" for cell in spec.cells])
+                         names=[f"cell {cell.label} at n={n}" for cell in spec.cells],
+                         series=("r",) if use_r else ())
         for cell, (sched, clamped), agg, rows in zip(spec.cells, built, aggs, by_cell):
             mean_err, se_err = _final_error(agg, use_r)
             speedup, se_speedup = 1.0, 0.0

@@ -63,10 +63,14 @@ class Problem:
     and grads(X) (..., n, dim). The stochastic oracle is a point-free draw,
     draw_noise(gens, out), which fills a noise_block(*lead) with one row per
     generator in C order (here (n, dim) normals times _noise_scale), and an
-    apply, stochastic_grads(X, noise), with X of shape (..., S, n, dim) and one
-    (S, ...) row of noise that every leading index shares, as the configs of
-    one engine batch do. _global_value and _global_grad take x of shape
-    (..., dim); global_value and global_grad are their validated one-point views.
+    apply, stochastic_grads(X, noise, out=None), with X of shape
+    (..., S, n, dim) and one (S, ...) row of noise that every leading index
+    shares, as the configs of one engine batch do. The apply writes into out
+    when one is given (a fresh array otherwise) and returns it; its per-agent
+    constants come broadcast to X.shape (see _shaped), so the values and bits
+    are those of the broadcasting formula. _global_value and _global_grad take
+    x of shape (..., dim); global_value and global_grad are their validated
+    one-point views.
     """
 
     family_tag: str
@@ -96,6 +100,17 @@ class Problem:
         for gen, z in zip(gens, out.reshape(-1, self.n, self.dim)):
             gen.standard_normal(out=z)
         out *= self._noise_scale
+
+    def _shaped(self, shape, *constants) -> tuple[np.ndarray, ...]:
+        """The oracle's constants broadcast to `shape` as read-only contiguous arrays,
+        built once per shape: one entry is kept, and a call at another shape replaces it."""
+        cached = getattr(self, "_shaped_cache", None)
+        if cached is None or cached[0] != shape:
+            arrays = tuple(np.ascontiguousarray(np.broadcast_to(a, shape)) for a in constants)
+            for a in arrays:
+                a.flags.writeable = False
+            cached = self._shaped_cache = (shape, arrays)
+        return cached[1]
 
     def constants(self) -> ProblemConstants:
         cached = getattr(self, "_constants_cache", None)
@@ -145,15 +160,17 @@ class DiagonalQuadraticProblem(Problem):
     def grads(self, X) -> Vector:
         return self.q * (X - self.c)
 
-    def stochastic_grads(self, X, noise) -> Vector:
-        G = self.grads(X)
+    def stochastic_grads(self, X, noise, out=None) -> Vector:
+        q, c = self._shaped(X.shape, self.q, self.c)
+        G = np.subtract(X, c, out=out)
+        G *= q
         if self.has_gradient_noise:
             G += noise
         return G
 
     def _global_value(self, x):
         diff = x[..., None, :] - self.c
-        return 0.5 * np.mean(np.sum(self.q * diff * diff, axis=-1), axis=-1)
+        return 0.5 * (np.add.reduce(np.sum(self.q * diff * diff, axis=-1), axis=-1) / self.n)
 
     def _global_grad(self, x):
         return self._qbar * x - self._m
@@ -234,15 +251,18 @@ class SinusoidQuadraticProblem(Problem):
     def grads(self, X) -> Vector:
         return self.Q * (X - self.c) + self.eps_sin * np.cos(X)
 
-    def stochastic_grads(self, X, noise) -> Vector:
-        G = self.grads(X)
+    def stochastic_grads(self, X, noise, out=None) -> Vector:
+        Q, c = self._shaped(X.shape, self.Q, self.c)
+        G = np.subtract(X, c, out=out)
+        G *= Q
+        G += self.eps_sin * np.cos(X)
         if self.has_gradient_noise:
             G += noise
         return G
 
     def _global_value(self, x):
         diff = x[..., None, :] - self.c
-        quad = 0.5 * np.mean(np.sum(self.Q * diff * diff, axis=-1), axis=-1)
+        quad = 0.5 * (np.add.reduce(np.sum(self.Q * diff * diff, axis=-1), axis=-1) / self.n)
         return quad + self.eps_sin * np.sum(np.sin(x), axis=-1)
 
     def _global_grad(self, x):
@@ -354,7 +374,7 @@ class LogisticProblem(Problem):
         for gen, row in zip(gens, out.reshape(-1, self.n)):
             row[:] = gen.integers(0, self.counts)
 
-    def stochastic_grads(self, X, idx) -> Vector:
+    def stochastic_grads(self, X, idx, out=None) -> Vector:
         S = len(idx)
         agents = np.arange(self.n)
         W = X.reshape(*X.shape[:-1], self.K, self.d)
@@ -363,7 +383,7 @@ class LogisticProblem(Problem):
         P = np.exp(z - z.max(axis=-1, keepdims=True))
         P /= P.sum(axis=-1, keepdims=True)
         P[..., np.arange(S)[:, None], agents, self.labels[agents, idx]] -= 1.0
-        return (P[..., None] * a[..., None, :]).reshape(X.shape) + self.lam * X
+        return np.add((P[..., None] * a[..., None, :]).reshape(X.shape), self.lam * X, out=out)
 
     def _global_value(self, x):
         return self.values(_at_every_agent(x, self.n)).mean(axis=-1)

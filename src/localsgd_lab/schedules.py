@@ -11,6 +11,7 @@ admissibility checks that the convergence guarantees need.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,15 +24,12 @@ class Schedule:
     tau: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        H = tuple(int(h) for h in self.H)
-        for i, h in enumerate(self.H):
-            if int(h) != h or int(h) < 1:
-                raise ValueError(f"H[{i}] = {h!r}: round lengths must be integers >= 1")
+        H = tuple(map(int, self.H))
+        if H != tuple(self.H) or min(H, default=1) < 1:  # name the first bad width
+            i, h = next((i, h) for i, h in enumerate(self.H) if int(h) != h or int(h) < 1)
+            raise ValueError(f"H[{i}] = {h!r}: round lengths must be integers >= 1")
         object.__setattr__(self, "H", H)
-        tau = [0]
-        for h in H:
-            tau.append(tau[-1] + h)
-        object.__setattr__(self, "tau", tuple(tau))
+        object.__setattr__(self, "tau", tuple(itertools.accumulate(H, initial=0)))
 
     @property
     def T(self) -> int:

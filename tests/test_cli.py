@@ -556,31 +556,51 @@ def test_run_exit4_on_divergence(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["strategy-compare", "rounds-to-target"])
-def test_run_exit4_names_first_diverged_cell(tmp_path, capsys, kind):
-    # one batch of cells: the stepsize is stable when averaging every step, but
-    # 40 and 50 local steps overflow; the error names the first of those cells
-    horizon = {"T": 400, "record_stride": 100} if kind == "strategy-compare" else {
-        "t_max": 400, "threshold": 1e-3}
+CONVEX_FAMILY = {"family": "convex-quadratic", "n": 4, "d": 5, "L": 1.0, "eps_pd": 0.01,
+                 "delta": 1.0, "sigma_noise": 1.0, "seed": 0}
+NONCONVEX_FAMILY = {"family": "nonconvex", "n": 4, "d": 5, "Q_diag": [0.2, 0.4, 0.6, 0.8, 1.0],
+                    "delta": 1.0, "eps_sin": 0.3, "sigma_noise": 1.0, "seed": 0}
+RTT_HORIZON = {"t_max": 400, "threshold": 1e-3}
+
+
+@pytest.mark.parametrize("kind, experiment, problem, diverging", [
+    # on the convex family the stepsize is stable when averaging every step,
+    # but 40 and 50 local steps overflow
+    pytest.param("strategy-compare", {"T": 400, "record_stride": 100}, CONVEX_FAMILY,
+                 ["wild", "wilder"], id="strategy-compare"),
+    pytest.param("rounds-to-target", RTT_HORIZON, CONVEX_FAMILY, ["wild", "wilder"],
+                 id="rounds-to-target"),
+    # a race computes only its measure's series
+    pytest.param("rounds-to-target", {**RTT_HORIZON, "measure": "r"}, CONVEX_FAMILY,
+                 ["wild", "wilder"], id="rounds-to-target-r"),
+    # the agents share the nonconvex curvature, so every width overflows alike
+    pytest.param("rounds-to-target", {**RTT_HORIZON, "measure": "h"}, NONCONVEX_FAMILY,
+                 ["calm", "wild", "wilder"], id="rounds-to-target-h-nonconvex"),
+])
+def test_run_exit4_names_first_diverged_cell(tmp_path, capsys, kind, experiment, problem,
+                                             diverging):
+    # one batch of cells: the error names the first of those that diverge;
+    # without it, the next one, until none is left or the rest run through
     cfg = {
-        "experiment": {"kind": kind, **horizon,
+        "experiment": {"kind": kind, **experiment,
                        "cells": [{"label": "calm", "kind": "fixed-width", "H": 1},
                                  {"label": "wild", "kind": "fixed-width", "H": 40},
                                  {"label": "wilder", "kind": "fixed-width", "H": 50}]},
-        "problem": {"family": "convex-quadratic", "n": 4, "d": 5, "L": 1.0, "eps_pd": 0.01,
-                    "delta": 1.0, "sigma_noise": 1.0, "seed": 0},
+        "problem": problem,
         "stepsize": {"policy": "constant", "c": 40.0},
         "seeds": [0, 1, 2],
         "output": str(tmp_path / "res"),
     }
-    assert main(["run", write_cfg(tmp_path, cfg)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: cell wild: seeds [0, 1, 2] diverged")
-    del cfg["experiment"]["cells"][1]
-    assert main(["run", write_cfg(tmp_path, cfg)]) == 4
-    assert capsys.readouterr().err.startswith("numerical failure: cell wilder: seeds")
-    cfg["experiment"]["cells"] = cfg["experiment"]["cells"][:1]
-    assert main(["run", write_cfg(tmp_path, cfg)]) == 0
+    cells = cfg["experiment"]["cells"]
+    while cells:
+        first = next((cell for cell in cells if cell["label"] in diverging), None)
+        if first is None:
+            assert main(["run", write_cfg(tmp_path, cfg)]) == 0
+            break
+        assert main(["run", write_cfg(tmp_path, cfg)]) == 4
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: cell {first['label']}: seeds [0, 1, 2] diverged")
+        cells.remove(first)
 
 
 def test_run_exit4_names_first_diverged_speedup_lane(tmp_path, capsys):
@@ -606,6 +626,19 @@ def test_run_exit4_names_first_diverged_speedup_lane(tmp_path, capsys):
     assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith("numerical failure: cell calm at n=4: seeds")
     cfg["experiment"]["n_list"] = [1, 2]
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    # a nonconvex speedup computes no series, only the running average of h:
+    # at n=2 that average overflows while the iterate stays finite, and the
+    # lane is still named
+    cfg["problem"] = {**NONCONVEX_FAMILY, "n": 1}
+    cfg["experiment"]["n_list"] = [1, 2, 4]
+    cfg["experiment"]["cells"] = [{"label": "calm", "kind": "fixed-width", "H": 1},
+                                  {"label": "wide", "kind": "fixed-width", "H": 40}]
+    out = tmp_path / "nonconvex"
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: cell calm at n=2: seeds")
+    assert not out.exists()
+    cfg["experiment"]["n_list"] = [1]
     assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
 
 

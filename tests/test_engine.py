@@ -16,6 +16,7 @@ from localsgd_lab.engine import (
     InverseTimeStepsize,
     NoiseDrawError,
     RunConfig,
+    _aggregate,
     _mean_se,
     noise_generator,
     run_batch,
@@ -256,9 +257,13 @@ def test_run_validation_errors():
                   x0=np.array([np.inf] * p.dim), seed=0)
     with pytest.raises(ValueError, match="distinct"):
         run_batch(p, cfg(p, sched, ConstantStepsize(0.1, p.n, 10)), [1, 1])
+    for series in (("r", "x"), "r"):  # an unknown name, or a bare string
+        with pytest.raises(ValueError, match="series"):
+            cfg(p, sched, ConstantStepsize(0.1, p.n, 10), series=series)
     with pytest.raises(ValueError, match="seed"):
         run_batch(p, cfg(p, sched, ConstantStepsize(0.1, p.n, 10)), [])
-    # the configs of one run_cells batch differ only in schedule, stepsize and record_stride
+    # the configs of one run_cells batch differ only in schedule, stepsize, record_stride
+    # and series
     base = cfg(p, sched, ConstantStepsize(0.1, p.n, 10))
     with pytest.raises(ValueError, match="config"):
         run_cells(p, [], [0])
@@ -452,6 +457,46 @@ def test_chunked_metrics_equal_per_record_metrics(case, problem_seed, track):
 
 
 @st.composite
+def series_cases(draw):
+    family, n, d, sched, stride, seeds, chunk = draw(snapshot_cases())
+    subsets = draw(st.lists(st.sets(st.sampled_from(SERIES)), min_size=1, max_size=3))
+    # the all-series config and the empty subset sit anywhere in the batch
+    picks = draw(st.permutations([SERIES, (), *(tuple(sub) for sub in subsets)]))
+    return family, n, d, sched, stride, seeds, chunk, picks
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_cases(), st.integers(0, 50), st.booleans())
+def test_selected_series_equal_the_all_series_lane(case, problem_seed, track):
+    # one batch of configs that differ only in the series they compute: each
+    # computed series has the bits of the all-series lane, the others are NaN
+    family, n, d, sched, stride, seeds, chunk, picks = case
+    p = _family(family, n, d, problem_seed)
+    configs = [cfg(p, sched, ConstantStepsize(0.5, n, sched.T), record_stride=stride,
+                   track_averages=track, series=series) for series in picks]
+    with mock.patch.object(engine, "_SNAPSHOT_BYTES", chunk * len(seeds) * n * p.dim * 8):
+        lanes = run_cells(p, configs, seeds)
+    full = lanes[picks.index(SERIES)]
+    every = _aggregate(full)
+    for config, runs in zip(configs, lanes):
+        assert config.series == tuple(name for name in SERIES if name in config.series)
+        unset = np.full(len(full[0].t), np.nan)
+        assert_series_bitwise(runs, {
+            name: np.stack([getattr(m, name) if name in config.series else unset for m in full])
+            for name in SERIES})
+        for m, want in zip(runs, full):
+            assert m.series == config.series
+            for name in ("t", "is_comm", "final_x_bar", "avg_e", "avg_h"):
+                assert np.asarray(getattr(m, name)).tobytes() == \
+                    np.asarray(getattr(want, name)).tobytes(), name
+        agg = _aggregate(runs)
+        for name in ("r", "e", "V", "h"):
+            for stat in (f"mean_{name}", f"se_{name}"):
+                want = getattr(every, stat) if name in config.series else unset
+                assert getattr(agg, stat).tobytes() == want.tobytes(), stat
+
+
+@st.composite
 def noise_block_cases(draw):
     family = draw(st.sampled_from(["strongly-convex-quadratic", "logistic"]))
     n, d, T = draw(st.integers(1, 4)), draw(st.integers(2, 4)), draw(st.integers(3, 60))
@@ -557,11 +602,11 @@ def test_noise_child_is_reaped_when_a_step_raises():
     p = noisy_problem()
     grads, steps = p.stochastic_grads, []
 
-    def failing_grads(X, noise):
+    def failing_grads(X, noise, out=None):
         steps.append(None)
         if len(steps) == 10:
             raise StepFailed
-        return grads(X, noise)
+        return grads(X, noise, out=out)
 
     config = cfg(p, fixed_schedule(40, 8), InverseTimeStepsize(0.2, 30.0))
     with (one_step_noise_blocks(), mock.patch.object(p, "stochastic_grads", failing_grads),

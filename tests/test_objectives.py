@@ -206,6 +206,13 @@ def test_batched_oracle_interface(case):
         np.testing.assert_allclose(value, mean_value, rtol=1e-12)
         np.testing.assert_allclose(grad, mean_grad, rtol=1e-12,
                                    atol=1e-14 * (1 + np.abs(mean_grad).max()))
+        # the agents' mean of the quadratic part has the bits of its np.mean form
+        diff = x[..., None, :] - p.c
+        curv = p.Q if family == "nonconvex" else p.q
+        want = 0.5 * np.mean(np.sum(curv * diff * diff, axis=-1), axis=-1)
+        if family == "nonconvex":
+            want = want + p.eps_sin * np.sum(np.sin(x), axis=-1)
+        assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
     # row c of a (k, S, n, dim) call shares seed s's draw with the (S, n, dim) call
     X4 = rng.standard_normal((k, S, n, p.dim)) * scale
 
@@ -215,6 +222,15 @@ def test_batched_oracle_interface(case):
     G4 = p.stochastic_grads(X4, drawn(p, gens()))
     for c in range(k):
         assert p.stochastic_grads(X4[c], drawn(p, gens())).tobytes() == G4[c].tobytes()
+    # written into a caller's buffer, the same bits at either lead shape; the
+    # order makes the one-entry cache of broadcast constants change shape twice
+    for Xo in (X4, X4[0], X4):
+        noise = drawn(p, gens())
+        buf = np.full(Xo.shape, np.nan)
+        assert p.stochastic_grads(Xo, noise, out=buf) is buf
+        assert buf.tobytes() == p.stochastic_grads(Xo, noise).tobytes()
+        if family != "logistic":  # and the bits of the broadcasting formula
+            assert buf.tobytes() == (p.grads(Xo) + noise).tobytes()
 
 
 def test_stochastic_grad_unbiased_light():
