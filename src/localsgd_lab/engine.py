@@ -124,6 +124,12 @@ class NoiseDrawError(RuntimeError):
     """The child process that draws a run's noise blocks failed."""
 
 
+def fork_pays() -> bool:
+    """os.fork exists and this process may run on two CPUs: on one, a child only waits."""
+    one_cpu = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2
+    return hasattr(os, "fork") and not one_cpu
+
+
 def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
     """Yield the (k, S, ...) noise of steps [t, t + steps), for t = 0, steps, ... < T.
 
@@ -147,8 +153,7 @@ def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
                             for stepper in steppers), out)
         return out
 
-    one_cpu = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2
-    if len(starts) == 1 or not hasattr(os, "fork") or one_cpu:  # on one CPU a child only waits
+    if len(starts) == 1 or not fork_pays():
         for t in starts:
             yield draw(t, block)
         return
@@ -579,12 +584,20 @@ def _unset(k: int) -> np.ndarray:
     return a
 
 
-def _diverged(m: RunMetrics) -> bool:
+def _divergence(runs) -> str:
+    """Why some of the runs diverged, or "" when none did: a final averaged
+    iterate that is not finite, else the computed series that overflowed, else
+    a tracked running average of h that is not finite."""
+    if any(not np.all(np.isfinite(m.final_x_bar)) for m in runs):
+        return "non-finite iterate"
+    overflowed = [name for name in ("r", "e", "V", "h")
+                  if any(name in m.series and np.isinf(getattr(m, name)).any() for m in runs)]
+    if overflowed:
+        return f"{', '.join(overflowed)} overflowed"
     # h_t is finite until the run overflows, so a tracked avg_h is finite until then
-    return (not np.all(np.isfinite(m.final_x_bar))
-            or (m.track_averages and not math.isfinite(m.avg_h))
-            or any(np.isinf(getattr(m, name)).any() for name in ("r", "e", "V", "h")
-                   if name in m.series))
+    if any(m.track_averages and not math.isfinite(m.avg_h) for m in runs):
+        return "non-finite running average of h"
+    return ""
 
 
 def _aggregate(runs) -> AggregateMetrics:
@@ -604,7 +617,7 @@ def _aggregate(runs) -> AggregateMetrics:
         mean_avg_e=float(means[0]), se_avg_e=float(ses[0]),
         mean_avg_h=float(means[1]), se_avg_h=float(ses[1]),
         n_seeds=len(runs), seeds=tuple(m.seed for m in runs), runs=tuple(runs),
-        diverged=tuple(m.seed for m in runs if _diverged(m)),
+        diverged=tuple(m.seed for m in runs if _divergence([m])),
     )
 
 

@@ -40,6 +40,7 @@ from .engine import (
     RunConfig,
     _SERIES,
     _aggregate,
+    _divergence,
     run_cells,
 )
 from .objectives import Problem, SinusoidQuadraticProblem, problem_from_spec
@@ -55,7 +56,8 @@ from .schedules import (
 
 
 class DivergenceError(ArithmeticError):
-    """A simulated iterate stopped being finite, so the run measures nothing."""
+    """A simulated run stopped being finite (its iterate, a computed series or the
+    running average of h), so it measures nothing."""
 
 
 class PreconditionError(RuntimeError):
@@ -208,7 +210,7 @@ def _simulate(problem: Problem, runs, seeds, record_stride: int, track_averages:
         cells[k] = None  # a caller that keeps only its row lets these lanes go
         if agg.diverged and names is not None:
             raise DivergenceError(f"{names[k]}: seeds {list(agg.diverged)} diverged "
-                                  f"(non-finite iterate); lower the stepsize")
+                                  f"({_divergence(agg.runs)}); lower the stepsize")
         yield agg
 
 

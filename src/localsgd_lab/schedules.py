@@ -40,14 +40,10 @@ class Schedule:
         return len(self.H)
 
     def round_index(self, t: int) -> int:
-        return round_index(self, t)
-
-
-def round_index(schedule: Schedule, t: int) -> int:
-    """Index k with tau_k <= t < tau_{k+1} (0-based; k=0 is the first round)."""
-    if not 0 <= t < schedule.T:
-        raise ValueError(f"t = {t} outside [0, {schedule.T})")
-    return bisect.bisect_right(schedule.tau, t) - 1
+        """Index k with tau_k <= t < tau_{k+1} (0-based; k=0 is the first round)."""
+        if not 0 <= t < self.T:
+            raise ValueError(f"t = {t} outside [0, {self.T})")
+        return bisect.bisect_right(self.tau, t) - 1
 
 
 def fixed_schedule(T: int, R: int) -> Schedule:

@@ -42,7 +42,6 @@ from localsgd_lab.schedules import (
     fixed_schedule,
     fixed_width_schedule,
     increasing_power_schedule,
-    round_index,
 )
 
 BENCH = {"family": "strongly-convex-quadratic", "n": 8, "d": 10, "mu": 0.1,
@@ -349,7 +348,7 @@ def test_ac9_per_step_recursions_within_monte_carlo_slack():
         S = sched.H[kk] * (12 * L * (e[:, w] @ (eta[w] ** 2))
                            + 6 * sbsq * float(np.sum(eta[w] ** 2)))
         D2 = V[:, t] - S
-        assert round_index(sched, t) == kk
+        assert sched.round_index(t) == kk
         slack = 3 * float(D2.std(ddof=1)) / math.sqrt(nseeds)
         ok &= float(D2.mean()) <= slack
         details.append(float(D2.mean()) - slack)

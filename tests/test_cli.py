@@ -415,8 +415,10 @@ def run_digests(tmp_path, cfg, out_name="res"):
     """Run cfg into tmp_path/out_name; sha256 of every CSV it wrote, by relative path."""
     out = tmp_path / out_name
     assert main(["run", write_cfg(tmp_path, cfg, f"{out_name}.json"), "--out", str(out)]) == 0
-    return {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted(out.rglob("*.csv"))}
+    written = {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()}
+    csvs = sorted(name for name in written if name.endswith(".csv"))
+    assert written - set(csvs) == {"run_meta.json"}  # nothing else, no part file
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in csvs}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
@@ -539,6 +541,66 @@ def test_run_byte_identical_across_seed_partitions(tmp_path, partition_seeds, ca
             assert (tmp_path / f"chunk{k}" / name).read_bytes() == a
 
 
+# the README bounds config at 20 seeds writes 40,020 rows of metrics.csv, past
+# the value count at which a forked child formats the last half of the seeds;
+# digests taken when one process formatted every row
+README_BOUNDS = (
+    {"experiment": {"kind": "bounds", "theorem": 1},
+     "problem": {"family": "strongly-convex-quadratic", "n": 8, "d": 10, "mu": 0.1,
+                 "L": 1.0, "delta": 1.0, "sigma_noise": 1.0, "seed": 1},
+     "schedule": {"strategy": "increasing-power", "a": 1.0, "s": 0.5, "T": 2000},
+     "stepsize": {"policy": "inverse-time", "beta": "auto"},
+     "seeds": {"count": 20, "base": 1000}},
+    {"bounds.csv": "de7042944e06c19511896acfca871fede8c0cd58ecf9fe2e6efaa7729ed93881",
+     "metrics.csv": "221c60decf9ad9633a6b0fe85c4d9c58d17bcf6d0ecd8dcb311bb87e5340f36f"})
+
+
+@pytest.mark.parametrize("cpus, child_fails, parent_blocks", [
+    pytest.param({0, 1}, False, [10], id="split"),
+    pytest.param({0}, False, [20], id="one-cpu"),
+    # this process formats the child's blocks after it, with the same bytes
+    # and no part file left
+    pytest.param({0, 1}, True, [10, 10], id="failed-child"),
+])
+def test_run_split_metrics_csv_pinned(tmp_path, monkeypatch, capsys, cpus, child_fails,
+                                      parent_blocks):
+    cfg, digests = README_BOUNDS
+    parent, whole, formatted = os.getpid(), localsgd_lab.cli._write_rows, []
+
+    def write_rows(fh, blocks):
+        if os.getpid() == parent:
+            formatted.append(len(blocks))
+        elif child_fails:
+            raise OSError("the child cannot format its blocks")
+        whole(fh, blocks)
+
+    monkeypatch.setattr(localsgd_lab.cli, "_write_rows", write_rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    if len(cpus) < 2:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+    assert run_digests(tmp_path, cfg) == digests
+    assert formatted == parent_blocks
+    assert capsys.readouterr().err == ""
+
+
+def test_run_split_write_that_raises_leaves_no_child_or_part(tmp_path, monkeypatch, capsys):
+    # the child is killed and reaped (no_child_process_left) and its part removed
+    cfg, _ = README_BOUNDS
+    parent, whole = os.getpid(), localsgd_lab.cli._write_rows
+
+    def write_rows(fh, blocks):
+        if os.getpid() == parent:
+            raise OSError("no space left on device")
+        whole(fh, blocks)
+
+    monkeypatch.setattr(localsgd_lab.cli, "_write_rows", write_rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "res"
+    with pytest.raises(OSError, match="no space"):
+        main(["run", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert [f.name for f in out.iterdir()] == ["metrics.csv"]
+
+
 def test_run_exit4_on_divergence(tmp_path, capsys):
     cfg = {
         "experiment": {"kind": "strategy-compare", "T": 2000, "record_stride": 500,
@@ -552,7 +614,9 @@ def test_run_exit4_on_divergence(tmp_path, capsys):
     }
     assert main(["run", write_cfg(tmp_path, cfg)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: cell wide: seeds [0, 1, 2] diverged")
+    # the iterates stay finite; their squares overflow
+    assert err == ("numerical failure: cell wide: seeds [0, 1, 2] diverged "
+                   "(r, e, h overflowed); lower the stepsize\n")
     assert "Traceback" not in err
 
 
@@ -619,8 +683,9 @@ def test_run_exit4_names_first_diverged_speedup_lane(tmp_path, capsys):
     out = tmp_path / "res"
     assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
     err = capsys.readouterr().err
+    # every seed's final iterate is still finite there: r_t overflowed
     assert err == ("numerical failure: cell wide at n=2: seeds [0, 1, 2] diverged "
-                   "(non-finite iterate); lower the stepsize\n")
+                   "(r overflowed); lower the stepsize\n")
     assert not out.exists()
     del cfg["experiment"]["cells"][1]
     assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
@@ -636,7 +701,9 @@ def test_run_exit4_names_first_diverged_speedup_lane(tmp_path, capsys):
                                   {"label": "wide", "kind": "fixed-width", "H": 40}]
     out = tmp_path / "nonconvex"
     assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
-    assert capsys.readouterr().err.startswith("numerical failure: cell calm at n=2: seeds")
+    assert capsys.readouterr().err == ("numerical failure: cell calm at n=2: seeds [0, 1, 2] "
+                                       "diverged (non-finite running average of h); "
+                                       "lower the stepsize\n")
     assert not out.exists()
     cfg["experiment"]["n_list"] = [1]
     assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0

@@ -17,6 +17,7 @@ from localsgd_lab.engine import (
     NoiseDrawError,
     RunConfig,
     _aggregate,
+    _divergence,
     _mean_se,
     noise_generator,
     run_batch,
@@ -294,6 +295,18 @@ def test_diverging_run_aggregates_to_non_finite_means():
     healthy = run_many(p, cfg(p, fixed_width_schedule(5, 2000), ConstantStepsize(0.5, 4, 2000)),
                        [0, 1, 2])
     assert healthy.diverged == ()
+    # the cause names the iterate before any overflowed series, and those
+    # before the running average of h
+    m = healthy.runs[0]
+    inf = np.full_like(m.r, math.inf)
+    assert _divergence(healthy.runs) == ""
+    assert _divergence([m, replace(m, track_averages=True, avg_h=math.inf)]) == \
+        "non-finite running average of h"
+    assert _divergence([replace(m, h=inf, track_averages=True, avg_h=math.inf),
+                        replace(m, r=inf)]) == "r, h overflowed"
+    assert _divergence([replace(m, r=inf), replace(m, final_x_bar=m.final_x_bar * math.nan)]) \
+        == "non-finite iterate"
+    assert _divergence([replace(m, r=inf, series=("e",))]) == ""
 
 
 def _family(name, n, d, seed):

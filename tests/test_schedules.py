@@ -21,7 +21,6 @@ from localsgd_lab.schedules import (
     fixed_schedule,
     fixed_width_schedule,
     increasing_power_schedule,
-    round_index,
     schedule_from_spec,
     weighted_cubic_sum,
 )
@@ -177,12 +176,12 @@ def test_weighted_cubic_sum_rejects_nonpositive_beta():
 
 def test_round_index():
     s = Schedule((3, 2, 5))  # tau = (0, 3, 5, 10)
-    assert [round_index(s, t) for t in range(10)] == [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]
+    assert [s.round_index(t) for t in range(10)] == [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]
     assert s.round_index(4) == 1
     with pytest.raises(ValueError):
-        round_index(s, -1)
+        s.round_index(-1)
     with pytest.raises(ValueError):
-        round_index(s, 10)
+        s.round_index(10)
 
 
 def test_fixed_schedule_locally_minimizes_cubic_sum():
