@@ -6,7 +6,7 @@ Three subcommands:
   schedule  build and inspect one communication schedule
   plotdata  turn result CSVs into whitespace .dat files for gnuplot
 
-Exit codes: 0 ok, 2 invalid input (JSON, schema, or parameter), 3 theorem
+Exit codes: 0 ok, 2 invalid input (JSON, schema, parameter, or output path), 3 theorem
 precondition refusal, 4 numerical failure (a simulated run diverged).
 Runs are deterministic: the same config produces byte-identical CSVs, and the
 engine's batches are partition invariant, so the bytes do not depend on
@@ -25,12 +25,13 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -164,28 +165,173 @@ CONFIG_SCHEMA = {
         "output": {"type": "string"},
     },
 }
-# built once: jsonschema.validate would check CONFIG_SCHEMA against its metaschema per call
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+# JSON Schema Draft 2020-12 types: a bool is no number, an integral float is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
 
 class ConfigError(ValueError):
     pass
 
 
+@dataclass
+class _Violation:
+    """One failed schema keyword: where, which, why, whether the value had the
+    type of the schema holding the keyword, and an anyOf's branch violations."""
+    path: tuple
+    keyword: str
+    message: str
+    matches_type: bool
+    context: list
+
+    def relevance(self):
+        # jsonschema's best_match key: shallow, later sibling, not anyOf, value of the wrong type
+        return -len(self.path), self.path, self.keyword != "anyOf", not self.matches_type
+
+    def json_path(self) -> str:
+        return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" if _PLAIN_KEY.match(k)
+                             else "['" + k.replace("\\", "\\\\").replace("'", "\\'") + "']"
+                             for k in self.path)
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: a bool equals only a bool."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _check(schema: dict, value, path: tuple = ()):
+    """Check value against schema keyword by keyword, in schema order, as
+    jsonschema's Draft 2020-12 validator does. Returns the value, with every
+    integer a Python int and every enum or const match the schema's own
+    member, and the violations. Only the keywords CONFIG_SCHEMA uses are
+    interpreted; any other raises NotImplementedError."""
+    out, errors = value, []
+    matches = "type" in schema and _TYPES[schema["type"]](value)
+
+    def fail(keyword, message, context=()):
+        errors.append(_Violation(path, keyword, message, matches, list(context)))
+
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _TYPES[arg](value):
+                fail(keyword, f"{value!r} is not of type {arg!r}")
+            elif arg == "integer":
+                out = int(value)
+        elif keyword in ("enum", "const"):
+            members = [m for m in (arg if keyword == "enum" else [arg]) if _same(m, value)]
+            if members:
+                out = members[0]
+            else:
+                fail(keyword, f"{value!r} is not one of {arg!r}" if keyword == "enum"
+                     else f"{arg!r} was expected")
+        elif keyword == "required":
+            for name in arg if isinstance(value, dict) else ():
+                if name not in value:
+                    fail(keyword, f"{name!r} is a required property")
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                out = dict(value)
+                for name, sub in arg.items():
+                    if name in value:
+                        out[name], errs = _check(sub, value[name], path + (name,))
+                        errors += errs
+        elif keyword == "additionalProperties" and arg is False:
+            known = schema.get("properties", {})
+            extras = sorted(k for k in value if k not in known) if isinstance(value, dict) else []
+            if extras:
+                fail(keyword, f"Additional properties are not allowed "
+                              f"({', '.join(map(repr, extras))} "
+                              f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif keyword == "items":
+            if isinstance(value, list):
+                out = []
+                for i, item in enumerate(value):
+                    item, errs = _check(arg, item, path + (i,))
+                    out.append(item)
+                    errors += errs
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                fail(keyword, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+        elif keyword in ("minimum", "exclusiveMinimum"):
+            if _TYPES["number"](value) and (value < arg if keyword == "minimum" else value <= arg):
+                fail(keyword, f"{value!r} is less than "
+                              f"{'' if keyword == 'minimum' else 'or equal to '}"
+                              f"the minimum of {arg!r}")
+        elif keyword == "pattern":
+            if isinstance(value, str) and not re.search(arg, value):
+                fail(keyword, f"{value!r} does not match {arg!r}")
+        elif keyword == "anyOf":
+            branches = []
+            for sub in arg:
+                branch, errs = _check(sub, value, path)
+                if not errs:
+                    out = branch
+                    break
+                branches += errs
+            else:
+                fail(keyword, f"{value!r} is not valid under any of the given schemas", branches)
+        else:
+            raise NotImplementedError(f"schema keyword {keyword}: {arg!r} is not interpreted")
+    return out, errors
+
+
+def _best_match(errors: list[_Violation]) -> _Violation:
+    """The violation jsonschema.exceptions.best_match picks: the most relevant,
+    then inside an anyOf its least relevant branch violation, unless two tie."""
+    best = max(errors, key=_Violation.relevance)
+    while best.context:
+        first, *rest = sorted(best.context, key=_Violation.relevance)[:2]
+        if rest and first.relevance() == rest[0].relevance():
+            break
+        best = first
+    return best
+
+
+def _in_double_range(parse):
+    """A json.loads number hook: parse(literal), refused past a double's range."""
+    def hook(literal: str):
+        value = parse(literal)
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int too large to convert
+            pass
+        raise ValueError(f"{literal} overflows a double")
+    return hook
+
+
+def _non_finite(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def load_config(path) -> dict:
-    """Parse and schema-validate a JSON config; raises ConfigError."""
+    """Parse and validate a JSON config against CONFIG_SCHEMA; raises ConfigError.
+
+    NaN, Infinity and numbers past a double's range are not valid JSON. The
+    config returned holds an int wherever the schema says integer, and a
+    violation is reported as jsonschema's best_match reports it.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(text, parse_float=_in_double_range(float),
+                         parse_int=_in_double_range(int), parse_constant=_non_finite)
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
-    if exc is not None:
-        raise ConfigError(f"config schema violation at {exc.json_path}: "
-                          f"{exc.message}") from exc
+    cfg, errors = _check(CONFIG_SCHEMA, cfg)
+    if errors:
+        best = _best_match(errors)
+        raise ConfigError(f"config schema violation at {best.json_path()}: {best.message}")
     return cfg
 
 
@@ -382,19 +528,31 @@ def _write_meta(outdir: Path, cfg: dict, spec: ExperimentSpec, extra: dict):
         fh.write("\n")
 
 
+def _check_outdir(outdir: Path):
+    """Raise ConfigError when the nearest existing part of outdir is not a
+    directory, so that a run that could not write its results does not start."""
+    for part in (outdir, *outdir.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"output directory {outdir}: {part} is not a directory")
+            return
+
+
 def cmd_run(args) -> int:
-    """Exit 2 for a config that cannot be loaded or built, or that the harness
-    rejects with ValueError; a KeyError or TypeError raised past construction
-    is a bug and propagates with its traceback."""
+    """Exit 2 for a config that cannot be loaded or built, whose output path
+    runs through a file, or that the harness rejects with ValueError; a
+    KeyError or TypeError raised past construction is a bug and propagates
+    with its traceback."""
     try:
         cfg = load_config(args.config)
         spec = spec_from_config(cfg, args.seed_offset)
+        outdir = Path(args.out or cfg.get("output") or "results")
+        _check_outdir(outdir)
         # speedup builds one problem per n itself
         problem = None if spec.kind == "speedup" else problem_from_spec(cfg["problem"])
     except (ConfigError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.out or cfg.get("output") or "results")
     try:
         # every result is in hand before the output directory is made
         if spec.kind == "bounds":

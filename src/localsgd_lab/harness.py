@@ -19,7 +19,7 @@ A speedup runs one batch per n, every cell a lane with its own c when c is
 swept, after one c-sweep batch of every (cell, c) pair at the largest n.
 
 Each protocol computes only the series it reads: bounds and strategy-compare
-all six, since they write them; rounds-to-target its measure (r, e or h);
+the four they write (r, e, V, h); rounds-to-target its measure (r, e or h);
 speedup and its c-sweep r when the family has a minimizer, and none
 otherwise, since the nonconvex error is the running average of h.
 """
@@ -38,7 +38,6 @@ from .engine import (
     ConstantStepsize,
     InverseTimeStepsize,
     RunConfig,
-    _SERIES,
     _aggregate,
     _divergence,
     run_cells,
@@ -53,6 +52,9 @@ from .schedules import (
     check_thm3_condition,
     schedule_from_spec,
 )
+
+
+_WRITTEN = ("r", "e", "V", "h")  # the series metrics.csv and convergence.csv write
 
 
 class DivergenceError(ArithmeticError):
@@ -192,7 +194,7 @@ class ExperimentSpec:
 
 
 def _simulate(problem: Problem, runs, seeds, record_stride: int, track_averages: bool,
-              names: list[str] | None, series=_SERIES) -> Iterator[AggregateMetrics]:
+              names: list[str] | None, series: tuple[str, ...]) -> Iterator[AggregateMetrics]:
     """Seed-mean metrics of each (schedule, stepsize) run from x0 = 0, yielded in order.
 
     All runs go as one engine batch and compute the given series; each is
@@ -320,7 +322,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
 
     [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
                       record_stride=spec.record_stride if thm == 1 else 1,
-                      track_averages=False, names=["schedule"])
+                      track_averages=False, names=["schedule"], series=_WRITTEN)
     r0 = None if consts.x_star is None else float(np.sum((x0 - consts.x_star) ** 2))
     if thm == 1:
         rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, T=T, mu=consts.mu,
@@ -451,5 +453,6 @@ def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, Ag
     stepsize = _stepsize(spec, consts, problem.n, spec.T)
     runs = [(cell.build(problem.n, spec.T)[0], stepsize) for cell in spec.cells]
     aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.record_stride,
-                     track_averages=False, names=[f"cell {cell.label}" for cell in spec.cells])
+                     track_averages=False, names=[f"cell {cell.label}" for cell in spec.cells],
+                     series=_WRITTEN)
     return {cell.label: agg for cell, agg in zip(spec.cells, aggs)}

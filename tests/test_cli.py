@@ -1,6 +1,7 @@
 """CLI tests: config validation, exit codes, CSV layout, plot-data export."""
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -13,11 +14,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import localsgd_lab
 from localsgd_lab.cli import (
     CONFIG_SCHEMA,
     ConfigError,
+    _check,
     build_parser,
     load_config,
     main,
@@ -918,3 +922,181 @@ def test_plotdata_idempotent_bytes(tmp_path, capsys):
     assert (tmp_path / "tradeoff.dat").read_bytes() == first
     # unreached rows carry no point
     assert b"\nb " not in first and first.count(b"\na ") == 1
+
+
+# --- config validation without jsonschema at run time -----------------------
+
+def test_cli_import_loads_only_numpy_beyond_the_standard_library():
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "import localsgd_lab.cli\n"
+              "print(json.dumps(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))\n")
+    src = str(Path(localsgd_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert {"numpy", "localsgd_lab"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "localsgd_lab"}
+
+
+def schema_nodes(schema):
+    """Every subschema of schema, itself included."""
+    yield schema
+    items = [schema["items"]] if "items" in schema else []
+    for sub in [*schema.get("properties", {}).values(), *items, *schema.get("anyOf", [])]:
+        yield from schema_nodes(sub)
+
+
+def test_every_config_schema_keyword_is_interpreted():
+    for node in schema_nodes(CONFIG_SCHEMA):
+        for keyword, arg in node.items():
+            _check({keyword: arg}, None)  # NotImplementedError for a keyword it does not know
+    for schema in ({"maximum": 3}, {"additionalProperties": {"type": "string"}}, {"oneOf": []}):
+        with pytest.raises(NotImplementedError, match=next(iter(schema))):
+            _check(schema, {"x": 4})
+
+
+# valid configs the parity test mutates: every pinned one
+VALID_CONFIGS = ([bounds_cfg("res", **tweaks) for tweaks, _ in PINNED_CONFIGS.values()]
+                 + [cfg for cfg, _ in PINNED_MULTI_CELL.values()] + [PINNED_SPEEDUP[0]]
+                 + [cfg for cfg, _, _ in PINNED_SWEEPS.values()])
+SCHEMA_KEYS = sorted({name for node in schema_nodes(CONFIG_SCHEMA)
+                      for name in node.get("properties", {})})
+MUTANT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.integers(-3, 300).map(float),
+    st.floats(-10.0, -0.0), st.floats(0.0, 10.0),
+    st.sampled_from(["", "auto", "bounds", "fixed", "explicit", "r", "a b", "inverse-time",
+                     "strongly-convex-quadratic"]),
+    st.lists(st.one_of(st.integers(-1, 5), st.floats(-1.0, 5.0)), max_size=3),
+    st.dictionaries(st.sampled_from(["count", "base", "label", "kind", "R", "x"]),
+                    st.one_of(st.integers(-1, 5), st.sampled_from(["fixed", "a"])), max_size=2))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A pinned valid config after one to three mutations: drop a key or an item,
+    add a key or an item, or replace a value."""
+    cfg = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = []
+        stack = [cfg]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                nodes.append(node)
+                stack += node.values() if isinstance(node, dict) else node
+        node = draw(st.sampled_from(nodes))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["drop", "add", "replace"] if keys else ["add"]))
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(SCHEMA_KEYS + ["mystery", "bad key", "x'y"]))] = \
+                draw(MUTANT_VALUES)
+        elif action == "add":
+            node.append(draw(MUTANT_VALUES))
+        elif action == "drop":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(MUTANT_VALUES)
+    return cfg
+
+
+@settings(max_examples=600, deadline=None)
+@given(cfg=mutated_configs())
+@example(cfg=bounds_cfg("res", experiment={"kind": "bounds", "theorem": True}))
+@example(cfg=bounds_cfg("res", experiment={"kind": "bounds", "theorem": 2.0}))
+@example(cfg=bounds_cfg("res", stepsize={"policy": "inverse-time", "beta": "Auto"}))
+@example(cfg=bounds_cfg("res", seeds={"count": 0, "base": -1.5}))
+def test_load_config_agrees_with_jsonschema(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "parity.json"
+    path.write_text(json.dumps(cfg))
+    errors = list(jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg))
+    if not errors:
+        assert load_config(path) == cfg
+        return
+    with pytest.raises(ConfigError) as got:
+        load_config(path)
+    best = jsonschema.exceptions.best_match(errors)
+    assert str(got.value) == f"config schema violation at {best.json_path}: {best.message}"
+
+
+def nested_set(cfg, path, value):
+    for key in path[:-1]:
+        cfg = cfg[key]
+    cfg[path[-1]] = value(cfg[path[-1]])
+
+
+def as_float(value):
+    return [float(v) for v in value] if isinstance(value, list) else float(value)
+
+
+INTEGRAL_FLOATS = {
+    "t_max": (PINNED_MULTI_CELL["rounds-to-target"][0], ("experiment", "t_max")),
+    "seeds.count": (bounds_cfg("res"), ("seeds", "count")),
+    "seeds.base": (bounds_cfg("res", seeds={"count": 2, "base": 3}), ("seeds", "base")),
+    "seeds-list": (bounds_cfg("res", seeds=[0, 5]), ("seeds",)),
+    "problem.n": (bounds_cfg("res"), ("problem", "n")),
+    "problem.d": (bounds_cfg("res"), ("problem", "d")),
+    "problem.seed": (bounds_cfg("res"), ("problem", "seed")),
+    "theorem": (bounds_cfg("res"), ("experiment", "theorem")),
+    "record_stride": (bounds_cfg("res"), ("experiment", "record_stride")),
+    "schedule.H": (bounds_cfg("res", **PINNED_CONFIGS["thm1-explicit"][0]), ("schedule", "H")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_FLOATS))
+def test_run_integral_float_writes_the_int_spelling_bytes(tmp_path, capsys, name):
+    cfg, path = INTEGRAL_FLOATS[name]
+    spelled = copy.deepcopy(cfg)
+    nested_set(spelled, path, as_float)
+    written = []
+    for out_name, config in (("int", cfg), ("float", spelled)):
+        out = tmp_path / out_name
+        assert main(["run", write_cfg(tmp_path, config, f"{out_name}.json"), "--out", str(out)]) == 0
+        written.append({str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*")
+                        if f.is_file()})
+    assert "run_meta.json" in written[0]
+    assert written[0] == written[1]
+
+
+NON_FINITE = {
+    "sigma_noise-NaN": (bounds_cfg("res"), ("problem", "sigma_noise"), "NaN"),
+    "threshold_auto_factor-NaN": (PINNED_MULTI_CELL["rounds-to-target"][0],
+                                  ("experiment", "threshold_auto_factor"), "NaN"),
+    "beta-Infinity": (bounds_cfg("res"), ("stepsize", "beta"), "Infinity"),
+    "beta-NaN": (bounds_cfg("res"), ("stepsize", "beta"), "NaN"),
+    "delta-Infinity": (bounds_cfg("res"), ("problem", "delta"), "Infinity"),
+    "mu-minus-Infinity": (bounds_cfg("res"), ("problem", "mu"), "-Infinity"),
+    "L-1e400": (bounds_cfg("res"), ("problem", "L"), "1e400"),
+    "sigma_noise-10**400": (bounds_cfg("res"), ("problem", "sigma_noise"), "1" + "0" * 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_run_exit2_on_non_finite_number(tmp_path, capsys, name):
+    cfg, path, literal = NON_FINITE[name]
+    cfg = copy.deepcopy(cfg)
+    nested_set(cfg, path, lambda _: "@literal@")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg).replace('"@literal@"', literal))
+    out = tmp_path / "res"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    reason = "is not a JSON number" if literal.endswith(("NaN", "Infinity")) else "overflows a double"
+    assert capsys.readouterr().err == f"invalid config: config is not valid JSON: {literal} {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given_by", ["--out", "output"])
+@pytest.mark.parametrize("below", [False, True])
+def test_run_exit2_on_output_path_through_a_file(tmp_path, capsys, given_by, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if below else blocker
+    cfg = bounds_cfg(out)
+    argv = ["run", write_cfg(tmp_path, cfg)] + (["--out", str(out)] if given_by == "--out" else [])
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"invalid config: output directory {out}: "
+                                       f"{blocker} is not a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "keep\n"
