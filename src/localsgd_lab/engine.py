@@ -24,6 +24,14 @@ process that draws its noise, or which configs and seeds share its batch:
 running them all at once, in chunks, or one at a time writes the same bytes.
 RunMetrics.wall_time is the wall time of the whole batch.
 
+A config may stop early: with RunConfig.stop_below, its lanes end at the first
+record point, t = 0 or a communication instant, at which the seed mean of its
+one series is at most that level, and the batch drops them and steps on
+without them. A stop is found at the metric pass after it, so the steps
+between the two are discarded, and the lanes are bitwise the prefix of their
+unstopped run. The seed mean is taken over the seeds of the call, so a stopped
+lane depends on which seeds share its call, though not on which configs do.
+
 Recorded series (sampled at t = 0, multiples of record_stride, every
 communication instant, and t = T). A config computes only the series it names
 in RunConfig.series (all six by default); the others stay NaN, and a config
@@ -219,6 +227,7 @@ class RunConfig:
     record_stride: int = 1
     track_averages: bool = True
     series: tuple[str, ...] = _SERIES  # the series computed at record points, from _SERIES
+    stop_below: float | None = None  # end the lanes at their first crossing of this level
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
@@ -237,6 +246,9 @@ class RunConfig:
             raise ValueError(f"need seed >= 0, got {self.seed}")
         if self.schedule.T < 1:
             raise ValueError("schedule must cover at least one step")
+        if self.stop_below is not None and (len(self.series) != 1 or self.track_averages):
+            raise ValueError(f"stop_below needs exactly one series and track_averages=False, "
+                             f"got series={self.series!r}, track_averages={self.track_averages}")
 
 
 @dataclass(eq=False)
@@ -246,7 +258,9 @@ class RunMetrics:
     dist_sq and ref_sq are diagnostics for the averaging identity
     (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2 with ref = x* when the
     family has one, else the origin. series names the series the config
-    computed; every other one is NaN. avg_e and avg_h are NaN unless
+    computed; every other one is NaN. A lane whose config stops (stop_below)
+    ends at its crossing: t, is_comm and the series end there, and
+    final_x_bar is the mean iterate there. avg_e and avg_h are NaN unless
     track_averages. wall_time is the wall time of the whole batch that ran
     this lane, all its configs and seeds, so every lane of one batch reports
     the same value.
@@ -262,7 +276,6 @@ class RunMetrics:
     ref_sq: np.ndarray
     is_comm: np.ndarray
     final_x_bar: np.ndarray
-    rounds_used: int
     avg_e: float
     avg_h: float
     wall_time: float
@@ -332,10 +345,19 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     Each (config, seed) pair is a lane, and all lanes share one (C, S, n, d)
     state that every step advances in one numpy pass. The configs must share
     n, x0, T and track_averages; they may differ in schedule, stepsize (each
-    evaluated for all T steps up front), record_stride and series, and
-    config.seed is ignored. Seed s's noise for step t is drawn once, from its
-    own (seed, t) stream, for every config, so a lane's metrics are bitwise
-    those of the one-config, one-seed batch.
+    evaluated for all T steps up front), record_stride, series and stop_below,
+    and config.seed is ignored. Seed s's noise for step t is drawn once, from
+    its own (seed, t) stream, for every config, so a lane's metrics are
+    bitwise those of the one-config, one-seed batch.
+
+    A config with stop_below ends at the first record point, t = 0 or a
+    communication instant, where the seed mean of its series (the mean
+    _mean_se gives over these seeds) is at most stop_below. The metric pass
+    after that point finds it; the config's lanes end there, bitwise the
+    prefix of their unstopped run, and leave the batch. A stop thus depends
+    on the whole seed list of the call: a config's result does not depend on
+    which other configs share the call, but it does on which seeds do. When
+    every config has stopped, the loop ends.
 
     The noise is drawn ahead in blocks of about _NOISE_BYTES. This process
     draws the first; if the run has a second, a child forked here draws the
@@ -390,22 +412,33 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     filled = [0] * C
     # a config that computes no series records its t but copies no state
     snap = record & np.array([[bool(config.series)] for config in configs])
+    # the stopping configs' levels, and the record points a stop may fall on
+    stops = {k: config.stop_below for k, config in enumerate(configs)
+             if config.stop_below is not None}
+    can_stop = {k: rec_comm[k] | (rec_t[k] == 0) for k in stops}
+    ends, ended_at = {}, {}  # a stopped config's record count, and its (S, d) mean iterate there
 
-    # what happens after step t - 1, one plan per distinct column of (comm; snap):
-    # the configs averaged and the configs copied, each None (no config), a slice
-    # (a run of configs, indexed as a view) or their indices, and the copied indices
     def lanes(mask):
         ids = np.flatnonzero(mask)
         run = len(ids) and ids[-1] - ids[0] == len(ids) - 1
         return slice(ids[0], ids[-1] + 1) if run else ids if len(ids) else None
 
-    packed = np.ascontiguousarray(np.packbits(np.vstack([comm, snap]), axis=0).T)
-    _, first_t, plan_at = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                                    return_index=True, return_inverse=True)
-    plans = [(lanes(comm[:, t]), lanes(snap[:, t]), np.flatnonzero(snap[:, t]))
-             for t in first_t.tolist()]
-    plan = [plans[i] for i in plan_at.tolist()]
+    def plans(held_by, t0):
+        """plan[t] for t >= t0 (None before): what happens after step t - 1 to
+        the configs held_by (indices into configs, held at rows 0, 1, ... of
+        X): the rows averaged and the rows copied, each None (no row), a
+        slice (a run of rows, indexed as a view) or their indices, and the
+        copied configs' indices. One plan per distinct column of (comm; snap)."""
+        cols = np.vstack([comm[held_by, t0:], snap[held_by, t0:]])
+        packed = np.ascontiguousarray(np.packbits(cols, axis=0).T)
+        _, first_t, plan_at = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                        return_index=True, return_inverse=True)
+        avg, rec = cols[:len(held_by)], cols[len(held_by):]
+        made = [(lanes(avg[:, t]), lanes(rec[:, t]), held_by[rec[:, t]]) for t in first_t.tolist()]
+        return [None] * t0 + [made[i] for i in plan_at.tolist()]
 
+    held_by = np.arange(C)  # the config of each row of X
+    plan = plans(held_by, 0)
     X = np.tile(first.x0, (C, S, n, 1))
     Y = X[0] if C == 1 else X  # the stepped view; one config skips broadcasting a unit axis
     G = np.empty(Y.shape)  # the stochastic gradient of each step
@@ -424,23 +457,30 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     grad = problem._global_grad
 
     sum_e, sum_h = _Kahan(C * S), _Kahan(C * S)
-    track = first.track_averages
+    track = first.track_averages  # then no config stops, so X keeps every config
 
     # one snapshot row is one config's (S, n, d) state at one of its record points
     snaps = np.empty((max(C, _SNAPSHOT_BYTES // X[0].nbytes), S, n, d))
     owners = []  # the configs of the held rows, one index array per snapshot
     held = 0
 
-    def snapshot(rec, ids):
+    def snapshot(t):
+        """Copy the states of the configs that record at t, after a metric pass
+        if the buffer is full; a config that pass stops leaves the batch first."""
         nonlocal held
-        if held + len(ids) > len(snaps):
-            flush()
-        snaps[held:held + len(ids)] = X[rec]
+        ids = plan[t][2]
+        if held + len(ids) > len(snaps) and flush():
+            retire(t)
+            ids = plan[t][2] if len(held_by) else ()
+            if not len(ids):
+                return
+        snaps[held:held + len(ids)] = X[plan[t][1]]
         owners.append(ids)
         held += len(ids)
 
     def flush():
-        """The needed series of the held rows at once, (k, S, ...) -> each config's columns."""
+        """The needed series of the held rows at once, (k, S, ...) -> each
+        config's columns; whether a config stopped at one of them."""
         nonlocal held
         Xs = snaps[:held]
         xbar = np.add.reduce(Xs, axis=2) / n  # ndarray.mean's bits, without its wrapper
@@ -463,27 +503,50 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
             dref = Xs - ref
             out["dist_sq"] = np.einsum("ksij,ksij->ks", dref, dref) / n
         vals = np.stack([out[name] for name in need])
-        counts = [held]
+        counts, order = [held], None
         if C > 1:  # group the rows by config, keeping their order in time
             owner = np.concatenate(owners)
-            vals = vals[:, np.argsort(owner, kind="stable")]
+            order = np.argsort(owner, kind="stable")
+            vals = vals[:, order]
             counts = np.bincount(owner, minlength=C).tolist()
+        stopped = False
         lo = 0
         for k, m in enumerate(counts):
             if m:
-                cols = vals[picks[k], lo:lo + m]
-                store[k][:, :, filled[k]:filled[k] + m] = cols.transpose(0, 2, 1)
+                was = filled[k]
                 filled[k] += m
+                store[k][:, :, was:filled[k]] = vals[picks[k], lo:lo + m].transpose(0, 2, 1)
+                if k in stops:  # a stopped config holds no rows after its stop's pass
+                    i = _first_crossing(store[k][0, :, was:filled[k]],
+                                        can_stop[k][was:filled[k]], stops[k])
+                    if i is not None:
+                        ends[k] = was + i + 1
+                        ended_at[k] = xbar[lo + i if order is None else order[lo + i]]
+                        stopped = True
                 lo += m
         owners.clear()
         held = 0
+        return stopped
+
+    def retire(t):
+        """Drop the stopped configs' rows from the batch and plan the rest from t."""
+        nonlocal X, Y, G, eta, plan, held_by
+        keep = [i for i, k in enumerate(held_by.tolist()) if k not in ends]
+        held_by = held_by[keep]
+        if not keep:
+            return
+        X = X[keep]
+        Y = X[0] if len(keep) == 1 else X
+        G = np.empty(Y.shape)
+        if eta.ndim > 1:  # an in-place op on X[0] cannot broadcast a (1, 1, 1, 1) column
+            eta = eta[:, keep] if len(keep) > 1 else np.ascontiguousarray(eta[:, keep[0]].ravel())
+        plan = plans(held_by, t)
 
     wall = time.perf_counter()
     with (np.errstate(over="ignore", invalid="ignore"),  # _aggregate reports divergence
           contextlib.closing(_noise_blocks(problem, steppers, T, steps)) as blocks):
-        _, rec, ids = plan[0]  # every config records t = 0
-        if rec is not None:
-            snapshot(rec, ids)
+        if plan[0][1] is not None:  # every config records t = 0
+            snapshot(0)
         for t in range(T):
             if track:
                 xbar = (np.add.reduce(X, axis=2) / n).reshape(-1, d)
@@ -499,28 +562,42 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
             grads(Y, noise, out=G)
             G *= eta[t]
             Y -= G
-            avg, rec, ids = plan[t + 1]
+            avg, rec, _ = plan[t + 1]
             if avg is not None:
                 X[avg] = np.add.reduce(X[avg], axis=2, keepdims=True) / n
             if rec is not None:
-                snapshot(rec, ids)
+                snapshot(t + 1)
+                if not len(held_by):
+                    break
         if held:
             flush()
-        final_x_bar = np.add.reduce(X, axis=2) / n
+        final_x_bar = dict(zip(held_by.tolist(), np.add.reduce(X, axis=2) / n))
     wall = time.perf_counter() - wall
+    final_x_bar |= ended_at
 
     nan_lanes = np.full((C, S), np.nan).tolist()
     avg_e = (sum_e.s / T).reshape(C, S).tolist() if (track and have_star) else nan_lanes
     avg_h = (sum_h.s / T).reshape(C, S).tolist() if track else nan_lanes
-    unset = [dict.fromkeys(_SERIES, _unset(len(t))) for t in rec_t]  # shared by a config's lanes
+    lens = [ends.get(k, len(t)) for k, t in enumerate(rec_t)]
+    unset = [dict.fromkeys(_SERIES, _unset(m)) for m in lens]  # shared by a config's lanes
     return [
-        [RunMetrics(seed=seed, t=rec_t[k], is_comm=rec_comm[k], final_x_bar=final_x_bar[k, j],
-                    rounds_used=config.schedule.R, avg_e=avg_e[k][j], avg_h=avg_h[k][j],
+        [RunMetrics(seed=seed, t=rec_t[k][:m], is_comm=rec_comm[k][:m],
+                    final_x_bar=final_x_bar[k][j], avg_e=avg_e[k][j], avg_h=avg_h[k][j],
                     wall_time=wall, series=config.series, track_averages=track,
-                    **(unset[k] | dict(zip(config.series, store[k][:, j]))))
+                    **(unset[k] | dict(zip(config.series, store[k][:, j, :m]))))
          for j, seed in enumerate(seeds)]
-        for k, config in enumerate(configs)
+        for k, (config, m) in enumerate(zip(configs, lens))
     ]
+
+
+def _first_crossing(values: np.ndarray, eligible: np.ndarray, level: float) -> int | None:
+    """The first eligible column of (S, K) values whose seed mean, as _mean_se
+    gives it, is at most level; None when there is none."""
+    cols = np.flatnonzero(eligible)
+    if not len(cols):
+        return None
+    hit = np.flatnonzero(_mean_se(values[:, cols])[0] <= level)
+    return int(cols[hit[0]]) if len(hit) else None
 
 
 def _mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

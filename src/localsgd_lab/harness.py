@@ -21,7 +21,10 @@ swept, after one c-sweep batch of every (cell, c) pair at the largest n.
 Each protocol computes only the series it reads: bounds and strategy-compare
 the four they write (r, e, V, h); rounds-to-target its measure (r, e or h);
 speedup and its c-sweep r when the family has a minimizer, and none
-otherwise, since the nonconvex error is the running average of h.
+otherwise, since the nonconvex error is the running average of h. And each
+simulates only as far as it reads: a rounds-to-target cell ends at its first
+crossing (RunConfig.stop_below) and leaves its batch, so its divergence is
+judged only up to there; the others read r_T or whole series and run to T.
 """
 
 from __future__ import annotations
@@ -194,18 +197,22 @@ class ExperimentSpec:
 
 
 def _simulate(problem: Problem, runs, seeds, record_stride: int, track_averages: bool,
-              names: list[str] | None, series: tuple[str, ...]) -> Iterator[AggregateMetrics]:
+              names: list[str] | None, series: tuple[str, ...],
+              stop_below: float | None = None) -> Iterator[AggregateMetrics]:
     """Seed-mean metrics of each (schedule, stepsize) run from x0 = 0, yielded in order.
 
     All runs go as one engine batch and compute the given series; each is
-    reduced over its seeds only when the caller asks for it. With names (one
-    per run), the first run whose seeds diverged raises DivergenceError naming
-    it; with names=None diverged seeds are left in the result.
+    reduced over its seeds only when the caller asks for it. With stop_below,
+    each run ends at its first crossing of that level (RunConfig.stop_below),
+    so divergence is judged only up to there. With names (one per run), the
+    first run whose seeds diverged raises DivergenceError naming it; with
+    names=None diverged seeds are left in the result.
     """
     x0 = np.zeros(problem.dim)
     cells = run_cells(problem, [
         RunConfig(n=problem.n, schedule=sched, stepsize=stepsize, x0=x0, seed=0,
-                  record_stride=record_stride, track_averages=track_averages, series=series)
+                  record_stride=record_stride, track_averages=track_averages, series=series,
+                  stop_below=stop_below)
         for sched, stepsize in runs], seeds)
     for k in range(len(cells)):
         agg = _aggregate(cells[k])
@@ -353,7 +360,9 @@ def noise_floor(consts, n: int, t_max: int) -> float:
 
 def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[TradeoffRow]:
     """Rounds and iterations each strategy needs to push the seed-mean error
-    under the threshold; crossings count only at t=0 and communication instants."""
+    under the threshold; crossings count only at t=0 and communication instants.
+    Each cell's run ends at its crossing, so a cell that diverges after it is
+    reached, not a DivergenceError."""
     if not spec.cells:
         raise ValueError("rounds-to-target needs at least one strategy cell")
     if spec.t_max is None or spec.t_max < 1:
@@ -374,8 +383,10 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
     stepsize = _stepsize(spec, consts, problem.n, spec.t_max)
 
     runs = [(cell.build(problem.n, spec.t_max)[0], stepsize) for cell in spec.cells]
+    # each cell ends at its crossing, so the first hit below is at its last record point
     aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.t_max, track_averages=False,
-                     names=[f"cell {cell.label}" for cell in spec.cells], series=(spec.measure,))
+                     names=[f"cell {cell.label}" for cell in spec.cells], series=(spec.measure,),
+                     stop_below=threshold)
     rows = []
     for cell, (sched, _), agg in zip(spec.cells, runs, aggs):
         series = _measure_series(agg, spec.measure)

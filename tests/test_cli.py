@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from localsgd_lab.cli import (
     spec_from_config,
 )
 from localsgd_lab.harness import RRule
-from localsgd_lab.objectives import MAKERS, problem_from_spec
+from localsgd_lab.objectives import MAKERS, DiagonalQuadraticProblem, problem_from_spec
 from localsgd_lab.schedules import ALIASES, STRATEGIES, beta_for_increasing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -184,7 +185,8 @@ def test_run_exit2_on_schema_violation(tmp_path, capsys):
 
 
 def test_config_schema_passes_its_metaschema(tmp_path):
-    # load_config validates with a validator built once, without this check
+    # the schema is valid Draft 2020-12, and load_config's own interpreter reports a
+    # violation with jsonschema's path and message
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
     cfg = bounds_cfg(tmp_path / "o")
     cfg["seeds"]["count"] = 0
@@ -711,6 +713,30 @@ def test_run_exit4_names_first_diverged_speedup_lane(tmp_path, capsys):
     assert not out.exists()
     cfg["experiment"]["n_list"] = [1]
     assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+
+
+def test_run_rounds_to_target_cell_that_diverges_after_its_crossing_exits_0(
+        tmp_path, capsys, monkeypatch):
+    # the race reads each cell only up to its crossing: this cell crosses at
+    # t = 2 and overflows later, so it is reached; unreached, it still exits 4
+    # eta = c sqrt(n / t_max) = 0.95 on f = (1/2)((x_1 - 1)^2 + 4 (x_2 - 1e-3)^2)
+    problem = DiagonalQuadraticProblem(np.array([[1.0, 4.0]]), np.array([[1.0, 1e-3]]), 0.0,
+                                       mu=1.0, L=4.0, family_tag="strongly-convex-quadratic")
+    monkeypatch.setattr(localsgd_lab.cli, "problem_from_spec", lambda spec: problem)
+    cfg = {"experiment": {"kind": "rounds-to-target", "t_max": 400, "threshold": 1e-3,
+                          "measure": "r",
+                          "cells": [{"label": "unit", "kind": "fixed-width", "H": 1}]},
+           "problem": {"family": "strongly-convex-quadratic", "n": 1, "d": 2, "mu": 1.0,
+                       "L": 4.0, "delta": 0.0, "sigma_noise": 0.0, "seed": 0},
+           "stepsize": {"policy": "constant", "c": 19.0},
+           "seeds": [0]}
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "tradeoff.csv").read_text().splitlines()[1:] == ["unit,2,2,1,0.001"]
+    cfg["experiment"]["threshold"] = 1e-30
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "unreached")]) == 4
+    assert capsys.readouterr().err == ("numerical failure: cell unit: seeds [0] diverged "
+                                       "(r overflowed); lower the stepsize\n")
 
 
 def test_run_seed_offset(tmp_path, capsys):

@@ -75,7 +75,6 @@ def test_single_noiseless_step_oracle():
     assert m.final_x_bar[0] == pytest.approx(0.9)
     assert m.r[-1] == pytest.approx(0.81)
     assert m.r[0] == pytest.approx(1.0)
-    assert m.rounds_used == 1
     assert m.wall_time >= 0
 
 
@@ -202,7 +201,7 @@ RUN_FIELDS = ("t", "r", "e", "V", "h", "dist_sq", "ref_sq", "is_comm", "final_x_
 
 
 def assert_runs_bitwise_equal(a, b):
-    assert a.seed == b.seed and a.rounds_used == b.rounds_used
+    assert a.seed == b.seed
     for name in RUN_FIELDS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
@@ -507,6 +506,117 @@ def test_selected_series_equal_the_all_series_lane(case, problem_seed, track):
             for stat in (f"mean_{name}", f"se_{name}"):
                 want = getattr(every, stat) if name in config.series else unset
                 assert getattr(agg, stat).tobytes() == want.tobytes(), stat
+
+
+@st.composite
+def stop_cases(draw):
+    family = draw(st.sampled_from(["strongly-convex-quadratic", "convex-quadratic", "logistic"]))
+    n, d, T = draw(st.integers(1, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 200))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):  # (schedule, record_stride, c) per config
+        sched = draw(st.one_of(
+            st.builds(fixed_width_schedule, st.integers(1, 8), st.just(T)),
+            st.builds(increasing_power_schedule, st.floats(0.5, 3.0), st.floats(0.0, 1.5),
+                      st.just(T))))
+        cells.append((sched, draw(st.integers(1, T + 1)), draw(st.sampled_from([0.3, 0.5, 0.8]))))
+    # the logistic family has no minimizer, so its r and e are NaN
+    series = draw(st.sampled_from(["h", "V"] if family == "logistic" else ["r", "e", "h", "V"]))
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True))
+    return family, n, d, cells, series, seeds
+
+
+def eligible_points(agg):
+    """The record points a stop may fall on: t = 0 and the communication instants."""
+    eligible = agg.is_comm.copy()
+    eligible[0] = True
+    return eligible
+
+
+@settings(max_examples=60, deadline=None)
+@given(stop_cases(), st.integers(0, 50), st.data())
+def test_stopped_lanes_are_the_prefix_of_their_unstopped_runs(case, problem_seed, data):
+    family, n, d, cells, series, seeds = case
+    p = _family(family, n, d, problem_seed)
+    T = cells[0][0].T
+    configs = [cfg(p, sched, ConstantStepsize(c, n, T), record_stride=stride,
+                   track_averages=False, series=(series,)) for sched, stride, c in cells]
+    full = run_cells(p, configs, seeds)
+    stopping, crossings = [], []
+    for config, lanes in zip(configs, full):
+        agg = _aggregate(lanes)
+        eligible = eligible_points(agg)
+        means = getattr(agg, f"mean_{series}")
+        # a level some eligible seed mean meets, or one below them all
+        level = data.draw(st.sampled_from(sorted(means[eligible].tolist()))
+                          | st.just(means[eligible].min() - 1.0))
+        stopping.append(replace(config, stop_below=level))
+        hit = np.flatnonzero(eligible & (means <= level))
+        crossings.append(int(hit[0]) if len(hit) else None)
+    row_bytes = len(seeds) * n * p.dim * 8
+    rows = data.draw(st.integers(1, max(1, engine._SNAPSHOT_BYTES // row_bytes)))
+    with mock.patch.object(engine, "_SNAPSHOT_BYTES", rows * row_bytes):
+        stopped = run_cells(p, stopping, seeds)
+    for config, want, got, i in zip(stopping, full, stopped, crossings):
+        if i is None:  # never crossed: the whole run
+            for a, b in zip(want, got):
+                assert_runs_bitwise_equal(a, b)
+        else:
+            t_end = int(want[0].t[i])
+            # the mean iterate at the crossing ends a run whose schedule ends there
+            if t_end:
+                rounds = config.schedule.tau.index(t_end)
+                cut = replace(config, schedule=Schedule(config.schedule.H[:rounds]), series=(),
+                              stop_below=None)
+                x_ends = [m.final_x_bar for m in run_cells(p, [cut], seeds)[0]]
+            else:
+                x_ends = [np.add.reduce(np.tile(config.x0, (n, 1)), axis=0) / n] * len(seeds)
+            for a, b, x_end in zip(want, got, x_ends):
+                assert a.seed == b.seed and len(b.t) == i + 1
+                for name in (name for name in RUN_FIELDS if name != "final_x_bar"):
+                    x, y = getattr(a, name)[:i + 1], getattr(b, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+                assert b.final_x_bar.tobytes() == x_end.tobytes()
+                assert math.isnan(b.avg_e) and math.isnan(b.avg_h)
+            assert _aggregate(got).t[-1] == t_end
+        # the same lanes when the config runs alone
+        with mock.patch.object(engine, "_SNAPSHOT_BYTES", rows * row_bytes):
+            alone = run_cells(p, [config], seeds)[0]
+        for a, b in zip(got, alone):
+            assert_runs_bitwise_equal(a, b)
+
+
+def test_stop_below_needs_one_series_and_no_running_averages():
+    p = noisy_problem()
+    sched, step = fixed_schedule(10, 2), ConstantStepsize(0.1, p.n, 10)
+    for series, track in (((), False), (("r", "e"), False), (("r",), True)):
+        with pytest.raises(ValueError, match="stop_below"):
+            cfg(p, sched, step, series=series, track_averages=track, stop_below=1.0)
+    cfg(p, sched, step, series=("r",), track_averages=False, stop_below=1.0)
+
+
+def test_every_config_stopping_leaves_no_noise_child(monkeypatch):
+    # both configs cross at t = 0; the metric pass at t = 5 finds it and the
+    # loop ends there, with the noise child still drawing (no_child_process_left)
+    p = noisy_problem()
+    configs = [cfg(p, fixed_width_schedule(H, 400), ConstantStepsize(0.5, p.n, 400),
+                   record_stride=400, track_averages=False, series=("r",), stop_below=1e9)
+               for H in (5, 10)]
+    grads, steps = p.stochastic_grads, []
+
+    def counted(X, noise, out=None):
+        steps.append(None)
+        return grads(X, noise, out=out)
+
+    monkeypatch.setattr(engine, "fork_pays", lambda: True)
+    state_bytes = 2 * p.n * p.dim * 8
+    with (one_step_noise_blocks(), mock.patch.object(engine, "_SNAPSHOT_BYTES", 2 * state_bytes),
+          mock.patch.object(p, "stochastic_grads", counted),
+          mock.patch.object(os, "fork", wraps=os.fork) as fork):
+        lanes = run_cells(p, configs, [3, 5])
+    assert fork.call_count == 1 and len(steps) == 5
+    for m in (m for cell in lanes for m in cell):
+        assert m.t.tolist() == [0] and m.is_comm.tolist() == [False]
+        assert m.final_x_bar.tobytes() == np.zeros(p.dim).tobytes()
 
 
 @st.composite

@@ -13,13 +13,14 @@ from localsgd_lab.harness import (
     PreconditionError,
     RRule,
     StrategyCell,
+    TradeoffRow,
     noise_floor,
     run_bounds_experiment,
     run_rounds_to_target,
     run_speedup_experiment,
     run_strategy_compare,
 )
-from localsgd_lab.objectives import problem_from_spec
+from localsgd_lab.objectives import DiagonalQuadraticProblem, problem_from_spec
 from localsgd_lab.schedules import Schedule, beta_for_increasing
 
 SC_SPEC = dict(family="strongly-convex-quadratic", n=4, d=6, mu=0.5, L=2.0,
@@ -279,6 +280,27 @@ def test_rounds_to_target_crossings_only_at_comm_instants():
     row = rows[0]
     assert row.reached and row.T_used % 7 == 0
     assert row.R_used == row.T_used // 7
+
+
+def cross_then_diverge_problem():
+    """n = 1, f = (1/2)((x_1 - 1)^2 + 4 (x_2 - 1e-3)^2), no noise: at eta = 0.95
+    x_1 converges and x_2 oscillates outward by a factor 2.8 a step, so r dips
+    to 6.8e-5 at t = 2 and overflows before t = 400."""
+    return DiagonalQuadraticProblem(np.array([[1.0, 4.0]]), np.array([[1.0, 1e-3]]), 0.0,
+                                    mu=1.0, L=4.0, family_tag="strongly-convex-quadratic")
+
+
+def test_rounds_to_target_judges_divergence_only_up_to_the_crossing():
+    # eta = c sqrt(n / t_max) = 0.95; the cell crosses 1e-3 at t = 2, then diverges
+    base = dict(kind="rounds-to-target", problem={}, seeds=(0,), c=19.0, t_max=400,
+                measure="r", cells=(StrategyCell(label="unit", kind="fixed-width", H=1),))
+    rows = run_rounds_to_target(cross_then_diverge_problem(), ExperimentSpec(**base,
+                                                                             threshold=1e-3))
+    assert rows == [TradeoffRow("unit", 2, 2, True, 1e-3)]
+    # a cell that never crosses runs to t_max, where it has diverged
+    with pytest.raises(DivergenceError, match=r"cell unit: seeds \[0\] diverged \(r overflowed\)"):
+        run_rounds_to_target(cross_then_diverge_problem(), ExperimentSpec(**base,
+                                                                          threshold=1e-30))
 
 
 def test_rounds_to_target_validation():
