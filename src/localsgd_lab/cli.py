@@ -11,15 +11,18 @@ precondition refusal, 4 numerical failure (a simulated run diverged).
 Runs are deterministic: the same config produces byte-identical CSVs, and the
 engine's batches are partition invariant, so the bytes do not depend on
 which seeds and cells are simulated together. A large per-seed or per-label
-CSV is formatted on two CPUs when the process may use two: a forked child
-formats the last half of its blocks while this process writes the first, and
-the bytes do not change.
+CSV is formatted on two CPUs when the process may use two: a child forked by
+engine._forked, the helper the engine's noise child uses too, formats the
+last half of its blocks while this process writes the first, and the bytes
+do not change. When the fork fails or the child fails, this process formats
+those blocks itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import csv
 import itertools
 import json
@@ -27,7 +30,6 @@ import math
 import os
 import re
 import shutil
-import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import fork_pays
+from .engine import _forked
 from .harness import (
     ExperimentSpec,
     PreconditionError,
@@ -420,53 +422,40 @@ def _write_blocks(path: Path, header: list[str], blocks):
     """_write_csv for (key, columns) blocks, each column a numpy array or a
     list of formatted cells.
 
-    When there are two or more blocks holding _SPLIT_VALUES values or more
-    and fork_pays(), a forked child formats the blocks past the half-way value
+    When there are two or more blocks holding _SPLIT_VALUES values or more, a
+    child forked by engine._forked formats the blocks past the half-way value
     into <path>.part while this process writes the header and the blocks
-    before them to path; then it reaps the child and appends the part in
-    chunks. The child ends with os._exit, so it flushes none of this
-    process's files. If it fails (or cannot be forked), this process formats
-    those blocks itself, so the bytes are the same either way. The child is
-    killed and reaped and the part removed whether the write finished or
-    raised.
+    before them to path; then it waits for the child and appends the part in
+    chunks. When no child is forked (one CPU, no os.fork, or a failed fork)
+    this process formats every block, and when the child fails (its traceback
+    goes to stderr) it formats the child's blocks itself, so the bytes are the
+    same either way. The child is killed and reaped and the part removed
+    whether the write finished or raised.
     """
     blocks = list(blocks)
     ends = list(itertools.accumulate(len(columns) * len(columns[0]) for _, columns in blocks))
-    head, tail, pid = blocks, [], 0
-    if len(blocks) > 1 and ends[-1] >= _SPLIT_VALUES and fork_pays():
+    cut = len(blocks)
+    if len(blocks) > 1 and ends[-1] >= _SPLIT_VALUES:
         cut = min(bisect.bisect_left(ends, ends[-1] / 2) + 1, len(blocks) - 1)
-        head, tail = blocks[:cut], blocks[cut:]
+    head, tail = blocks[:cut], blocks[cut:]
     part = path.with_name(path.name + ".part")
-    if tail:
-        try:
-            pid = os.fork()
-        except OSError:
-            head, tail = blocks, []
-    if tail and not pid:
-        code = 1
-        try:
-            with open(part, "w", newline="\n") as fh:
-                _write_rows(fh, tail)
-            code = 0
-        finally:
-            os._exit(code)
+
+    def format_tail():
+        with open(part, "w", newline="\n") as fh:
+            _write_rows(fh, tail)
+
     try:
-        with open(path, "w", newline="\n") as fh:
+        with (_forked(format_tail) if tail else contextlib.nullcontext()) as child, \
+                open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            _write_rows(fh, head)
-            if tail:
-                status = os.waitpid(pid, 0)[1]
-                pid = 0
-                if status:
-                    _write_rows(fh, tail)
-                else:
-                    fh.flush()
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer)
+            _write_rows(fh, head if child else blocks)
+            if child and child():
+                fh.flush()
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+            elif child:
+                _write_rows(fh, tail)
     finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         if tail:
             part.unlink(missing_ok=True)
 

@@ -15,14 +15,15 @@ holding every seed's noise for a run of steps, and each step hands its
 (S, ...) row to stochastic_grads for every config, which writes the step's
 gradients into one buffer the batch holds. The process that runs the
 step loop draws the first block. When a run has a second block, a child
-process forked at its start draws the rest into a ring of a few blocks of
-shared memory while the loop steps; a one-block run forks no child, and on one
-CPU or without os.fork the loop's process draws every block itself. The child
-makes the same draws on the same generators. So a lane's trajectory is
-bit-identical regardless of schedule, recording stride, block size, the
-process that draws its noise, or which configs and seeds share its batch:
-running them all at once, in chunks, or one at a time writes the same bytes.
-RunMetrics.wall_time is the wall time of the whole batch.
+process forked at its start draws the rest into one pipe that holds a few
+blocks while the loop steps; a one-block run forks no child, and on one CPU,
+without os.fork or when the fork fails, the loop's process draws every block
+itself. _forked holds that policy, and the CLI's forked CSV formatter uses it
+too. The child makes the same draws on the same generators. So a lane's
+trajectory is bit-identical regardless of schedule, recording stride, block
+size, the process that draws its noise, or which configs and seeds share its
+batch: running them all at once, in chunks, or one at a time writes the same
+bytes.
 
 A config may stop early: with RunConfig.stop_below, its lanes end at the first
 record point, t = 0 or a communication instant, at which the seed mean of its
@@ -53,10 +54,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import os
 import signal
-import time
 import traceback
 from dataclasses import dataclass, field
 
@@ -67,7 +66,7 @@ from .schedules import Schedule
 
 _SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
 _NOISE_BYTES = 64 * 1024  # noise drawn ahead of the step loop, all seeds of a run of steps
-_NOISE_RING = 4  # noise blocks shared with the child that draws them ahead
+_NOISE_AHEAD = 4  # noise blocks the pipe from the noise child holds: how far it draws ahead
 _MEAN_SE_COLUMNS = 1024  # columns per _mean_se pass; bounds its lists of Python floats
 _SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
 
@@ -138,17 +137,61 @@ def fork_pays() -> bool:
     return hasattr(os, "fork") and not one_cpu
 
 
+@contextlib.contextmanager
+def _forked(work):
+    """Run work() in a forked child while the with block runs in this process.
+
+    Yields None, and forks nothing, when fork_pays() is false or os.fork
+    raises: the caller then does the work itself. Otherwise it yields done(),
+    which waits for the child and says whether work() returned. The child ends
+    with os._exit, so it flushes none of this process's files: with 0 when
+    work() returned, else with 1 after writing its traceback to fd 2. A child
+    the block has not waited for is killed and reaped when the block ends,
+    whether it completed or raised.
+    """
+    try:
+        pid = os.fork() if fork_pays() else None
+    except OSError:
+        pid = None
+    if pid == 0:
+        code = 1
+        try:
+            work()
+            code = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    if pid is None:
+        yield None
+        return
+    status = None
+
+    def done() -> bool:
+        nonlocal status
+        if status is None:
+            status = os.waitpid(pid, 0)[1]
+        return status == 0
+
+    try:
+        yield done
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
     """Yield the (k, S, ...) noise of steps [t, t + steps), for t = 0, steps, ... < T.
 
-    The caller's process draws the first block. When there is a second block,
-    os.fork exists and the process may run on two CPUs, a forked child draws
-    the rest into a ring of _NOISE_RING blocks of anonymous shared memory
-    while the caller steps: one pipe says a block is ready, the other that a
-    slot is free again. The child makes the same draw_noise calls on the same
-    generators, so every block holds the bits an in-process draw gives. It
-    ends with os._exit, so it flushes none of the caller's files; if it fails
-    it prints its traceback and exits, and next() raises NoiseDrawError.
+    The caller's process draws the first block. When there is a second, a
+    child forked by _forked draws the rest into one pipe that holds
+    _NOISE_AHEAD blocks (F_SETPIPE_SZ, where it exists) while the caller
+    steps, and each block is read into the one buffer the generator holds.
+    The child makes the same draw_noise calls on the same generators, so every
+    block holds the bits an in-process draw gives; without a child, this
+    process draws them all. A child that fails prints its traceback and
+    exits, and next() raises NoiseDrawError at the block it did not write.
     Closing the generator kills and reaps the child, whether the run
     completed or raised.
     """
@@ -161,52 +204,32 @@ def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
                             for stepper in steppers), out)
         return out
 
-    if len(starts) == 1 or not fork_pays():
-        for t in starts:
-            yield draw(t, block)
+    if len(starts) == 1:
+        yield draw(0, block)
         return
-    K = _NOISE_RING
-    ring = np.ndarray((K, *block.shape), block.dtype, mmap.mmap(-1, K * block.nbytes))
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (ready_r, ready_w, free_r, free_w):
-            os.close(fd)
-        raise
-    if not pid:
-        code = 1
-        try:
-            os.close(ready_r)
-            os.close(free_w)
-            for b in range(1, len(starts)):
-                if b >= K and not os.read(free_r, 1):
-                    break  # the caller stopped early
-                draw(starts[b], ring[b % K])
-                os.write(ready_w, b"+")
-            code = 0
-        except BaseException:
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(code)
-    os.close(ready_w)
-    os.close(free_r)
-    try:
-        yield draw(0, ring[0])
-        for b in range(1, len(starts)):
-            if b - 1 + K < len(starts):  # the child reuses block b - 1's slot
-                with contextlib.suppress(BrokenPipeError):  # a failed child; read on to its EOF
-                    os.write(free_w, b"+")
-            if not os.read(ready_r, 1):
-                raise NoiseDrawError(f"the noise child process {pid} failed before step "
-                                     f"{starts[b]}; its traceback is on stderr")
-            yield ring[b % K][:T - starts[b]]
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        os.close(ready_r)
-        os.close(free_w)
+    src_fd, sink = os.pipe()
+    with contextlib.suppress(ImportError, AttributeError, OSError):  # not Linux, or past a limit
+        import fcntl
+        fcntl.fcntl(sink, fcntl.F_SETPIPE_SZ, _NOISE_AHEAD * block.nbytes)
+
+    def draw_ahead():  # the sink stays open until os._exit, so a traceback precedes the EOF
+        for t in starts[1:]:
+            view = memoryview(draw(t, block)).cast("B")
+            while view:
+                view = view[os.write(sink, view):]
+
+    # the child is killed before the pipe's read end closes, so it never meets EPIPE
+    with open(src_fd, "rb") as src, _forked(draw_ahead) as child:
+        os.close(sink)
+        yield draw(0, block)
+        for t in starts[1:]:
+            if child is None:
+                yield draw(t, block)
+            elif src.readinto(out := block[:T - t]) != out.nbytes:
+                raise NoiseDrawError(f"the noise child process failed before step {t}; "
+                                     f"its traceback is on stderr")
+            else:
+                yield out
 
 
 def noise_generator(seed: int, t: int) -> np.random.Generator:
@@ -260,10 +283,8 @@ class RunMetrics:
     family has one, else the origin. series names the series the config
     computed; every other one is NaN. A lane whose config stops (stop_below)
     ends at its crossing: t, is_comm and the series end there, and
-    final_x_bar is the mean iterate there. avg_e and avg_h are NaN unless
-    track_averages. wall_time is the wall time of the whole batch that ran
-    this lane, all its configs and seeds, so every lane of one batch reports
-    the same value.
+    final_x_bar is the mean iterate there. avg_h, the running average of h
+    over steps 0..T-1, is NaN unless track_averages.
     """
 
     seed: int
@@ -276,9 +297,7 @@ class RunMetrics:
     ref_sq: np.ndarray
     is_comm: np.ndarray
     final_x_bar: np.ndarray
-    avg_e: float
     avg_h: float
-    wall_time: float
     series: tuple[str, ...]
     track_averages: bool
 
@@ -303,8 +322,6 @@ class AggregateMetrics:
     se_V: np.ndarray
     mean_h: np.ndarray
     se_h: np.ndarray
-    mean_avg_e: float
-    se_avg_e: float
     mean_avg_h: float
     se_avg_h: float
     n_seeds: int
@@ -361,9 +378,10 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
 
     The noise is drawn ahead in blocks of about _NOISE_BYTES. This process
     draws the first; if the run has a second, a child forked here draws the
-    rest while the steps run (see _noise_blocks), and on one CPU or without
-    os.fork this process draws them all. The child is reaped before run_cells
-    returns or raises, and a child that fails raises NoiseDrawError here.
+    rest into a pipe while the steps run (see _noise_blocks), and on one CPU,
+    without os.fork or when os.fork fails, this process draws them all, with
+    the same bits. The child is reaped before run_cells returns or raises, and
+    a child that fails raises NoiseDrawError here.
     """
     configs = list(configs)
     seeds = [int(s) for s in seeds]
@@ -456,7 +474,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     value = problem._global_value
     grad = problem._global_grad
 
-    sum_e, sum_h = _Kahan(C * S), _Kahan(C * S)
+    sum_h = _Kahan(C * S)
     track = first.track_averages  # then no config stops, so X keeps every config
 
     # one snapshot row is one config's (S, n, d) state at one of its record points
@@ -542,7 +560,6 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
             eta = eta[:, keep] if len(keep) > 1 else np.ascontiguousarray(eta[:, keep[0]].ravel())
         plan = plans(held_by, t)
 
-    wall = time.perf_counter()
     with (np.errstate(over="ignore", invalid="ignore"),  # _aggregate reports divergence
           contextlib.closing(_noise_blocks(problem, steppers, T, steps)) as blocks):
         if plan[0][1] is not None:  # every config records t = 0
@@ -552,8 +569,6 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                 xbar = (np.add.reduce(X, axis=2) / n).reshape(-1, d)
                 g = grad(xbar)
                 sum_h.add(np.vecdot(g, g))
-                if have_star:
-                    sum_e.add(value(xbar) - f_star)
             if steppers:
                 j = t % steps
                 if not j:
@@ -572,18 +587,15 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         if held:
             flush()
         final_x_bar = dict(zip(held_by.tolist(), np.add.reduce(X, axis=2) / n))
-    wall = time.perf_counter() - wall
     final_x_bar |= ended_at
 
-    nan_lanes = np.full((C, S), np.nan).tolist()
-    avg_e = (sum_e.s / T).reshape(C, S).tolist() if (track and have_star) else nan_lanes
-    avg_h = (sum_h.s / T).reshape(C, S).tolist() if track else nan_lanes
+    avg_h = (sum_h.s / T if track else np.full(C * S, np.nan)).reshape(C, S).tolist()
     lens = [ends.get(k, len(t)) for k, t in enumerate(rec_t)]
     unset = [dict.fromkeys(_SERIES, _unset(m)) for m in lens]  # shared by a config's lanes
     return [
         [RunMetrics(seed=seed, t=rec_t[k][:m], is_comm=rec_comm[k][:m],
-                    final_x_bar=final_x_bar[k][j], avg_e=avg_e[k][j], avg_h=avg_h[k][j],
-                    wall_time=wall, series=config.series, track_averages=track,
+                    final_x_bar=final_x_bar[k][j], avg_h=avg_h[k][j],
+                    series=config.series, track_averages=track,
                     **(unset[k] | dict(zip(config.series, store[k][:, j, :m]))))
          for j, seed in enumerate(seeds)]
         for k, (config, m) in enumerate(zip(configs, lens))
@@ -688,11 +700,10 @@ def _aggregate(runs) -> AggregateMetrics:
         stats[f"mean_{name}"], stats[f"se_{name}"] = (
             _mean_se(np.stack([getattr(m, name) for m in runs]))
             if name in runs[0].series else (unset, unset))
-    means, ses = _mean_se(np.array([[m.avg_e, m.avg_h] for m in runs]))
+    [mean_avg_h], [se_avg_h] = _mean_se(np.array([[m.avg_h] for m in runs]))
     return AggregateMetrics(
         t=runs[0].t.copy(), is_comm=runs[0].is_comm.copy(), **stats,
-        mean_avg_e=float(means[0]), se_avg_e=float(ses[0]),
-        mean_avg_h=float(means[1]), se_avg_h=float(ses[1]),
+        mean_avg_h=float(mean_avg_h), se_avg_h=float(se_avg_h),
         n_seeds=len(runs), seeds=tuple(m.seed for m in runs), runs=tuple(runs),
         diverged=tuple(m.seed for m in runs if _divergence([m])),
     )

@@ -347,10 +347,6 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
     return compare(rhs, math.fsum(series[:-1].tolist()) / T, True), agg
 
 
-def _measure_series(agg: AggregateMetrics, measure: str) -> np.ndarray:
-    return {"r": agg.mean_r, "e": agg.mean_e, "h": agg.mean_h}[measure]
-
-
 def noise_floor(consts, n: int, t_max: int) -> float:
     """Stationary-noise level of the inverse-time guarantee at horizon t_max."""
     if consts.mu <= 0 or consts.sigma_bar_sq is None:
@@ -383,21 +379,17 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
     stepsize = _stepsize(spec, consts, problem.n, spec.t_max)
 
     runs = [(cell.build(problem.n, spec.t_max)[0], stepsize) for cell in spec.cells]
-    # each cell ends at its crossing, so the first hit below is at its last record point
+    # a cell that crossed ended there, and t_max is a communication instant
+    # (eligible), so a cell reached the threshold iff its last record point is under it
     aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.t_max, track_averages=False,
                      names=[f"cell {cell.label}" for cell in spec.cells], series=(spec.measure,),
                      stop_below=threshold)
     rows = []
     for cell, (sched, _), agg in zip(spec.cells, runs, aggs):
-        series = _measure_series(agg, spec.measure)
-        eligible = np.zeros(len(agg.t), dtype=bool)
-        eligible[0] = True
-        eligible |= agg.is_comm
-        hit = np.flatnonzero(eligible & (series <= threshold))
-        if len(hit):
-            t_used = int(agg.t[hit[0]])
-            r_used = int(np.searchsorted(sched.tau, t_used))
-            rows.append(TradeoffRow(cell.label, r_used, t_used, True, threshold))
+        if getattr(agg, f"mean_{spec.measure}")[-1] <= threshold:
+            t_used = int(agg.t[-1])
+            rows.append(TradeoffRow(cell.label, int(np.searchsorted(sched.tau, t_used)), t_used,
+                                    True, threshold))
         else:
             rows.append(TradeoffRow(cell.label, sched.R, spec.t_max, False, threshold))
     return rows
@@ -455,7 +447,7 @@ def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict
 
 def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, AggregateMetrics]:
     """One aggregate series per labeled schedule, shared stepsize and seeds; their
-    mean_avg_e and mean_avg_h are NaN, since no output reads running averages."""
+    mean_avg_h is NaN, since no output reads the running average."""
     if not spec.cells:
         raise ValueError("strategy-compare needs at least one cell")
     if spec.T is None or spec.T < 1:

@@ -5,12 +5,20 @@ import pytest
 from localsgd_lab import engine, harness
 
 
+def open_fds() -> set[str]:
+    """This process's open file descriptors, or none where /proc/self/fd does not exist."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Every child a test forks, the engine's noise child included, is reaped by its end."""
+    """Every child a test forks, the engine's noise child included, is reaped by
+    its end, and the test leaves no file descriptor open that it opened."""
+    before = open_fds()
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() <= before
 
 
 @pytest.fixture

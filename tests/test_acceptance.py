@@ -142,7 +142,7 @@ def test_ac4_increasing_schedule_not_dominated():
     pilot = run_many(prob, RunConfig(
         n=8, schedule=fixed_width_schedule(1, t_max),
         stepsize=InverseTimeStepsize(0.1, beta), x0=np.zeros(10), seed=0,
-        record_stride=t_max, track_averages=False), seeds)
+        record_stride=t_max, track_averages=False, series=("r",)), seeds)
     threshold = 10.0 * float(pilot.mean_r[-1])
     cells = [StrategyCell(label="increasing", kind="increasing-power",
                           a=2.2, s=0.13)]

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import math
 import os
 import signal
@@ -75,7 +76,6 @@ def test_single_noiseless_step_oracle():
     assert m.final_x_bar[0] == pytest.approx(0.9)
     assert m.r[-1] == pytest.approx(0.81)
     assert m.r[0] == pytest.approx(1.0)
-    assert m.wall_time >= 0
 
 
 def test_noiseless_run_matches_closed_form_gd():
@@ -171,7 +171,7 @@ def test_nonconvex_metrics_are_nan_where_undefined():
     m = run_local_sgd(p, cfg(p, fixed_schedule(20, 4), ConstantStepsize(0.5, 3, 20), seed=2))
     assert np.all(np.isnan(m.r)) and np.all(np.isnan(m.e))
     assert np.all(np.isfinite(m.V)) and np.all(np.isfinite(m.h))
-    assert math.isnan(m.avg_e) and math.isfinite(m.avg_h)
+    assert math.isfinite(m.avg_h)
     np.testing.assert_allclose(m.dist_sq, m.V + m.ref_sq, rtol=1e-9, atol=1e-12)
 
 
@@ -180,11 +180,10 @@ def test_time_averages_match_recorded_series():
     sched = fixed_schedule(40, 8)
     m = run_local_sgd(p, cfg(p, sched, InverseTimeStepsize(0.2, 30.0), seed=6))
     # stride 1: recorded t = 0..T; averages cover t = 0..T-1
-    assert m.avg_e == pytest.approx(math.fsum(m.e[:-1].tolist()) / sched.T, rel=1e-12)
     assert m.avg_h == pytest.approx(math.fsum(m.h[:-1].tolist()) / sched.T, rel=1e-12)
     off = run_local_sgd(p, cfg(p, sched, InverseTimeStepsize(0.2, 30.0), seed=6,
                                track_averages=False))
-    assert math.isnan(off.avg_e) and math.isnan(off.avg_h)
+    assert math.isnan(off.avg_h)
     np.testing.assert_array_equal(off.r, m.r)
 
 
@@ -205,8 +204,7 @@ def assert_runs_bitwise_equal(a, b):
     for name in RUN_FIELDS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    for name in ("avg_e", "avg_h"):
-        assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes(), name
+    assert np.float64(a.avg_h).tobytes() == np.float64(b.avg_h).tobytes()
 
 
 def test_run_batch_partition_invariance():
@@ -498,7 +496,7 @@ def test_selected_series_equal_the_all_series_lane(case, problem_seed, track):
             for name in SERIES})
         for m, want in zip(runs, full):
             assert m.series == config.series
-            for name in ("t", "is_comm", "final_x_bar", "avg_e", "avg_h"):
+            for name in ("t", "is_comm", "final_x_bar", "avg_h"):
                 assert np.asarray(getattr(m, name)).tobytes() == \
                     np.asarray(getattr(want, name)).tobytes(), name
         agg = _aggregate(runs)
@@ -576,7 +574,7 @@ def test_stopped_lanes_are_the_prefix_of_their_unstopped_runs(case, problem_seed
                     x, y = getattr(a, name)[:i + 1], getattr(b, name)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
                 assert b.final_x_bar.tobytes() == x_end.tobytes()
-                assert math.isnan(b.avg_e) and math.isnan(b.avg_h)
+                assert math.isnan(b.avg_h)
             assert _aggregate(got).t[-1] == t_end
         # the same lanes when the config runs alone
         with mock.patch.object(engine, "_SNAPSHOT_BYTES", rows * row_bytes):
@@ -716,6 +714,23 @@ def test_one_cpu_draws_noise_in_process(family, monkeypatch):
     for want, got in zip(forked, in_process):
         for a, b in zip(want, got):
             assert_runs_bitwise_equal(a, b)
+
+
+def test_failed_fork_draws_noise_in_process(monkeypatch):
+    # os.fork raising EAGAIN leaves every block to this process, with the lanes
+    # of an in-process run
+    p = noisy_problem()
+    config = cfg(p, fixed_schedule(40, 8), InverseTimeStepsize(0.2, 30.0))
+    monkeypatch.setattr(engine, "fork_pays", lambda: False)
+    with one_step_noise_blocks():
+        in_process = run_batch(p, config, [3, 5])
+    monkeypatch.setattr(engine, "fork_pays", lambda: True)
+    eagain = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    with one_step_noise_blocks(), mock.patch.object(os, "fork", side_effect=eagain) as fork:
+        runs = run_batch(p, config, [3, 5])
+    assert fork.call_count == 1
+    for a, b in zip(in_process, runs):
+        assert_runs_bitwise_equal(a, b)
 
 
 def test_noise_child_is_reaped_when_a_step_raises():
