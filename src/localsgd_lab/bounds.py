@@ -42,8 +42,6 @@ class BoundReport:
     measured: float
     margin: float
     holds: bool
-    precondition_ok: bool
-    vacuous: bool
 
 
 def _check_T(schedule: Schedule, T: int):
@@ -88,12 +86,8 @@ def thm3_rhs(schedule: Schedule, *, e0: float, c: float, n: int, T: int,
     return BoundTerms(3, ("stat", "schedule"), terms, math.fsum(terms))
 
 
-def compare(terms: BoundTerms, measured: float, precondition_ok: bool) -> BoundReport:
-    """Assemble the bound-vs-measurement report.
-
-    A failed precondition makes the comparison vacuous: the guarantee does not
-    apply, whatever the margin says.
-    """
+def compare(terms: BoundTerms, measured: float) -> BoundReport:
+    """Assemble the bound-vs-measurement report of a theorem whose preconditions hold."""
     margin = terms.total - measured
     return BoundReport(
         theorem=terms.theorem,
@@ -103,6 +97,4 @@ def compare(terms: BoundTerms, measured: float, precondition_ok: bool) -> BoundR
         measured=measured,
         margin=margin,
         holds=bool(measured <= terms.total),
-        precondition_ok=bool(precondition_ok),
-        vacuous=not precondition_ok,
     )

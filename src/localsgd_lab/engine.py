@@ -30,8 +30,9 @@ record point, t = 0 or a communication instant, at which the seed mean of its
 one series is at most that level, and the batch drops them and steps on
 without them. A stop is found at the metric pass after it, so the steps
 between the two are discarded, and the lanes are bitwise the prefix of their
-unstopped run. The seed mean is taken over the seeds of the call, so a stopped
-lane depends on which seeds share its call, though not on which configs do.
+unstopped run; that pass rebuilds the batch's state without their rows, by
+the rule that built it. The seed mean is taken over the seeds of the call, so
+a stopped lane depends on which seeds share its call, not on which configs do.
 
 Recorded series (sampled at t = 0, multiples of record_stride, every
 communication instant, and t = T). A config computes only the series it names
@@ -371,7 +372,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     communication instant, where the seed mean of its series (the mean
     _mean_se gives over these seeds) is at most stop_below. The metric pass
     after that point finds it; the config's lanes end there, bitwise the
-    prefix of their unstopped run, and leave the batch. A stop thus depends
+    prefix of their unstopped run, and leave the batch: the pass drops their
+    rows and rebuilds the state of the rest with hold, as at the start, so a
+    lone survivor steps as a one-config batch would. A stop thus depends
     on the whole seed list of the call: a config's result does not depend on
     which other configs share the call, but it does on which seeds do. When
     every config has stopped, the loop ends.
@@ -455,22 +458,28 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         made = [(lanes(avg[:, t]), lanes(rec[:, t]), held_by[rec[:, t]]) for t in first_t.tolist()]
         return [None] * t0 + [made[i] for i in plan_at.tolist()]
 
+    def hold(held_by, X, t0):
+        """The state of the configs held_by, at rows 0, 1, ... of X, from step t0:
+        the stepped view (X[0] for one config: no unit axis), a gradient buffer,
+        eta (T,) if they share a stepsize, else (T, C', 1, 1, 1), and the plans."""
+        Y = X[0] if len(held_by) == 1 else X
+        rows = [rate_row[k] for k in held_by.tolist()]
+        eta = (rates[rows[0]] if rows.count(rows[0]) == len(rows) else
+               np.array([rates[i] for i in rows]).T.reshape(T, -1, 1, 1, 1))
+        return Y, np.empty(Y.shape), eta, plans(held_by, t0)
+
+    # eta_t for t < T of each distinct stepsize, evaluated once, and each config's row of it
+    policies = list(dict.fromkeys(config.stepsize for config in configs))
+    rates = [np.broadcast_to(policy.at(np.arange(T)), T) for policy in policies]
+    rate_row = [policies.index(config.stepsize) for config in configs]
     held_by = np.arange(C)  # the config of each row of X
-    plan = plans(held_by, 0)
     X = np.tile(first.x0, (C, S, n, 1))
-    Y = X[0] if C == 1 else X  # the stepped view; one config skips broadcasting a unit axis
-    G = np.empty(Y.shape)  # the stochastic gradient of each step
+    Y, G, eta, plan = hold(held_by, X, 0)  # G holds the stochastic gradient of each step
     noise = None
     steppers = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else []
     # block[j] is the (S, ...) noise of step t + j, taken at the t that `steps` divides
     steps = max(1, min(T, _NOISE_BYTES // problem.noise_block(S).nbytes))
     grads = problem.stochastic_grads
-    # eta[t]: one scalar when the configs share a stepsize, else a (C, 1, 1, 1) column
-    if all(config.stepsize == first.stepsize for config in configs):
-        eta = np.broadcast_to(first.stepsize.at(np.arange(T)), T)
-    else:
-        eta = np.array([np.broadcast_to(config.stepsize.at(np.arange(T)), T)
-                        for config in configs]).T.reshape(T, C, 1, 1, 1)
     value = problem._global_value
     grad = problem._global_grad
 
@@ -486,20 +495,19 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         """Copy the states of the configs that record at t, after a metric pass
         if the buffer is full; a config that pass stops leaves the batch first."""
         nonlocal held
-        ids = plan[t][2]
-        if held + len(ids) > len(snaps) and flush():
-            retire(t)
-            ids = plan[t][2] if len(held_by) else ()
-            if not len(ids):
-                return
-        snaps[held:held + len(ids)] = X[plan[t][1]]
-        owners.append(ids)
-        held += len(ids)
+        if held + len(plan[t][2]) > len(snaps):
+            flush(t)
+        if len(held_by) and plan[t][1] is not None:  # else the pass stopped every recorder
+            ids = plan[t][2]
+            snaps[held:held + len(ids)] = X[plan[t][1]]
+            owners.append(ids)
+            held += len(ids)
 
-    def flush():
+    def flush(t):
         """The needed series of the held rows at once, (k, S, ...) -> each
-        config's columns; whether a config stopped at one of them."""
-        nonlocal held
+        config's columns. A config that stops at one of them leaves the batch:
+        its rows of X go, and hold rebuilds the batch's state from step t."""
+        nonlocal held, held_by, X, Y, G, eta, plan
         Xs = snaps[:held]
         xbar = np.add.reduce(Xs, axis=2) / n  # ndarray.mean's bits, without its wrapper
         rows = xbar.reshape(-1, d)
@@ -544,21 +552,11 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                 lo += m
         owners.clear()
         held = 0
-        return stopped
-
-    def retire(t):
-        """Drop the stopped configs' rows from the batch and plan the rest from t."""
-        nonlocal X, Y, G, eta, plan, held_by
-        keep = [i for i, k in enumerate(held_by.tolist()) if k not in ends]
-        held_by = held_by[keep]
-        if not keep:
-            return
-        X = X[keep]
-        Y = X[0] if len(keep) == 1 else X
-        G = np.empty(Y.shape)
-        if eta.ndim > 1:  # an in-place op on X[0] cannot broadcast a (1, 1, 1, 1) column
-            eta = eta[:, keep] if len(keep) > 1 else np.ascontiguousarray(eta[:, keep[0]].ravel())
-        plan = plans(held_by, t)
+        if stopped:
+            keep = [i for i, k in enumerate(held_by.tolist()) if k not in ends]
+            held_by, X = held_by[keep], X[keep]
+            if keep:
+                Y, G, eta, plan = hold(held_by, X, t)
 
     with (np.errstate(over="ignore", invalid="ignore"),  # _aggregate reports divergence
           contextlib.closing(_noise_blocks(problem, steppers, T, steps)) as blocks):
@@ -585,7 +583,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                 if not len(held_by):
                     break
         if held:
-            flush()
+            flush(T)
         final_x_bar = dict(zip(held_by.tolist(), np.add.reduce(X, axis=2) / n))
     final_x_bar |= ended_at
 

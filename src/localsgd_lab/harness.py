@@ -334,7 +334,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
     if thm == 1:
         rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, T=T, mu=consts.mu,
                        L=consts.L, sigma_bar_sq=consts.sigma_bar_sq)
-        return compare(rhs, float(agg.mean_r[-1]), True), agg
+        return compare(rhs, float(agg.mean_r[-1])), agg
     if thm == 2:
         rhs = thm2_rhs(sched, r0=r0, c=stepsize.c, n=n, T=T, L=consts.L,
                        sigma_bar_sq=consts.sigma_bar_sq)
@@ -344,7 +344,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
         rhs = thm3_rhs(sched, e0=problem.global_value(x0) - f_low, c=stepsize.c, n=n, T=T,
                        L=consts.L, sigma_sq=consts.sigma_sq, G=consts.G)
     series = agg.mean_e if thm == 2 else agg.mean_h
-    return compare(rhs, math.fsum(series[:-1].tolist()) / T, True), agg
+    return compare(rhs, math.fsum(series[:-1].tolist()) / T), agg
 
 
 def noise_floor(consts, n: int, t_max: int) -> float:

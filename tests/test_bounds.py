@@ -121,14 +121,11 @@ def test_parameter_validation():
 
 def test_compare_report():
     b = thm2_rhs(Schedule((1, 1, 1, 1)), r0=1, c=1, n=1, T=4, L=1, sigma_bar_sq=1)
-    rep = compare(b, measured=2.5, precondition_ok=True)
+    rep = compare(b, measured=2.5)
     assert isinstance(rep, BoundReport)
-    assert rep.holds and not rep.vacuous and rep.precondition_ok
+    assert rep.holds
     assert rep.margin == pytest.approx(7.5)
     assert rep.total == pytest.approx(math.fsum(rep.terms), rel=1e-12)
 
-    rep = compare(b, measured=11.0, precondition_ok=True)
+    rep = compare(b, measured=11.0)
     assert not rep.holds and rep.margin == pytest.approx(-1.0)
-
-    rep = compare(b, measured=2.5, precondition_ok=False)
-    assert rep.vacuous and not rep.precondition_ok

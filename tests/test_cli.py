@@ -1001,6 +1001,14 @@ VALID_CONFIGS = ([bounds_cfg("res", **tweaks) for tweaks, _ in PINNED_CONFIGS.va
                  + [cfg for cfg, _, _ in PINNED_SWEEPS.values()])
 SCHEMA_KEYS = sorted({name for node in schema_nodes(CONFIG_SCHEMA)
                       for name in node.get("properties", {})})
+
+
+def test_config_schema_property_names_are_plain():
+    # a violation's JSONPath writes a property name as .name, unquoted
+    assert [name for name in SCHEMA_KEYS if not re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", name)] == []
+    assert len(SCHEMA_KEYS) > 40
+
+
 MUTANT_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 300), st.integers(-3, 300).map(float),
     st.floats(-10.0, -0.0), st.floats(0.0, 10.0),

@@ -583,6 +583,39 @@ def test_stopped_lanes_are_the_prefix_of_their_unstopped_runs(case, problem_seed
             assert_runs_bitwise_equal(a, b)
 
 
+@pytest.mark.parametrize("case", ["survivor-runs-alone", "stop-at-final-pass", "two-stop-at-once"])
+def test_a_stop_rebuilds_the_batch_as_each_config_runs_alone(case):
+    # a stop rebuilds the batch's state from the configs left; their stepsizes
+    # differ, so a lone survivor steps with its own (T,) stepsizes
+    p, T, seeds = noisy_problem(), 60, [3, 8]
+
+    def config(c, H, stop_below=None):
+        return cfg(p, fixed_width_schedule(H, T), ConstantStepsize(c, p.n, T),
+                   record_stride=T + 1, track_averages=False, series=("r",),
+                   stop_below=stop_below)
+
+    def level_at(config, t):  # the seed mean of r at t, so the config crosses at t or before
+        agg = _aggregate(run_cells(p, [config], seeds)[0])
+        return float(agg.mean_r[list(agg.t).index(t)])
+
+    survivor = config(0.8, 4)
+    if case == "two-stop-at-once":  # both cross at t = 0, so the pass that finds one finds both
+        configs = [config(0.3, 5, 1e9), config(0.5, 5, 1e9), survivor]
+    else:
+        configs = [config(0.3, 5, level_at(config(0.3, 5), 10)), survivor]
+    state_bytes = len(seeds) * p.n * p.dim * 8
+    # 2 rows: a pass at nearly every record point; else one pass, after step T - 1
+    rows = engine._SNAPSHOT_BYTES // state_bytes if case == "stop-at-final-pass" else 2
+    assert case != "stop-at-final-pass" or 2 * (T + 1) <= rows
+    with mock.patch.object(engine, "_SNAPSHOT_BYTES", rows * state_bytes):
+        got = run_cells(p, configs, seeds)
+    assert all(m.t[-1] <= 10 for lanes in got[:-1] for m in lanes)
+    assert all(m.t[-1] == T for m in got[-1])
+    for config, lanes in zip(configs, got):
+        for a, b in zip(lanes, run_cells(p, [config], seeds)[0]):
+            assert_runs_bitwise_equal(a, b)
+
+
 def test_stop_below_needs_one_series_and_no_running_averages():
     p = noisy_problem()
     sched, step = fixed_schedule(10, 2), ConstantStepsize(0.1, p.n, 10)

