@@ -13,88 +13,76 @@ Three regimes, each a sum of interpretable terms:
   constant stepsize, nonconvex (time-averaged squared gradient norm):
     (8 e_0 + 4 c^2 sigma^2) / (c sqrt(nT))
       +  (48 L^2 (sigma^2 + G^2) c^2 n / T^2) * sum_i H_i^3
+
+The schedule fixes T = sum_i H_i, so no function takes T. Each evaluates to
+a BoundReport whose total, margin and holds derive from its terms and, after
+compare, its measured value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .schedules import Schedule, cubic_sum, weighted_cubic_sum
 
 
 @dataclass(frozen=True)
-class BoundTerms:
-    """Evaluated RHS of one guarantee; total is the exact sum of terms."""
-
-    theorem: int
-    labels: tuple[str, ...]
-    terms: tuple[float, ...]
-    total: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
+    """Evaluated RHS of one guarantee and, once compared, the measured LHS."""
+
     theorem: int
     labels: tuple[str, ...]
     terms: tuple[float, ...]
-    total: float
-    measured: float
-    margin: float
-    holds: bool
+    measured: float = math.nan
+
+    @property
+    def total(self) -> float:
+        return math.fsum(self.terms)
+
+    @property
+    def margin(self) -> float:
+        return self.total - self.measured
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.measured <= self.total)
 
 
-def _check_T(schedule: Schedule, T: int):
-    if schedule.T != T:
-        raise ValueError(f"schedule covers T={schedule.T} but T={T} was given")
-
-
-def thm1_rhs(schedule: Schedule, *, r0: float, beta: float, n: int, T: int,
-             mu: float, L: float, sigma_bar_sq: float) -> BoundTerms:
+def thm1_rhs(schedule: Schedule, *, r0: float, beta: float, n: int,
+             mu: float, L: float, sigma_bar_sq: float) -> BoundReport:
     """Inverse-time bound on E||xbar_T - x*||^2."""
-    _check_T(schedule, T)
     if min(r0, sigma_bar_sq) < 0 or beta <= 0 or n < 1 or mu <= 0 or L <= 0:
         raise ValueError("need r0, sigma_bar_sq >= 0, beta > 0, n >= 1, mu > 0, L > 0")
+    T = schedule.T
     init = (beta - 1) ** 2 * r0 / T**2
     noise = 12.0 * sigma_bar_sq / (n * mu**2 * T)
     sched = 144.0 * L * sigma_bar_sq / (mu**3 * T**2) * weighted_cubic_sum(schedule, beta)
-    terms = (init, noise, sched)
-    return BoundTerms(1, ("init", "noise", "schedule"), terms, math.fsum(terms))
+    return BoundReport(1, ("init", "noise", "schedule"), (init, noise, sched))
 
 
-def thm2_rhs(schedule: Schedule, *, r0: float, c: float, n: int, T: int,
-             L: float, sigma_bar_sq: float) -> BoundTerms:
+def thm2_rhs(schedule: Schedule, *, r0: float, c: float, n: int,
+             L: float, sigma_bar_sq: float) -> BoundReport:
     """Constant-stepsize bound on the time-averaged suboptimality of xbar."""
-    _check_T(schedule, T)
     if min(r0, sigma_bar_sq) < 0 or c <= 0 or n < 1 or L <= 0:
         raise ValueError("need r0, sigma_bar_sq >= 0, c > 0, n >= 1, L > 0")
+    T = schedule.T
     stat = (2.0 * r0 + 6.0 * c**2 * sigma_bar_sq) / (c * math.sqrt(n * T))
     sched = 24.0 * L * sigma_bar_sq * c**2 * n / T**2 * cubic_sum(schedule)
-    terms = (stat, sched)
-    return BoundTerms(2, ("stat", "schedule"), terms, math.fsum(terms))
+    return BoundReport(2, ("stat", "schedule"), (stat, sched))
 
 
-def thm3_rhs(schedule: Schedule, *, e0: float, c: float, n: int, T: int,
-             L: float, sigma_sq: float, G: float) -> BoundTerms:
+def thm3_rhs(schedule: Schedule, *, e0: float, c: float, n: int,
+             L: float, sigma_sq: float, G: float) -> BoundReport:
     """Constant-stepsize bound on the time-averaged squared gradient norm."""
-    _check_T(schedule, T)
     if min(e0, sigma_sq, G) < 0 or c <= 0 or n < 1 or L <= 0:
         raise ValueError("need e0, sigma_sq, G >= 0, c > 0, n >= 1, L > 0")
+    T = schedule.T
     stat = (8.0 * e0 + 4.0 * c**2 * sigma_sq) / (c * math.sqrt(n * T))
     sched = 48.0 * L**2 * (sigma_sq + G**2) * c**2 * n / T**2 * cubic_sum(schedule)
-    terms = (stat, sched)
-    return BoundTerms(3, ("stat", "schedule"), terms, math.fsum(terms))
+    return BoundReport(3, ("stat", "schedule"), (stat, sched))
 
 
-def compare(terms: BoundTerms, measured: float) -> BoundReport:
-    """Assemble the bound-vs-measurement report of a theorem whose preconditions hold."""
-    margin = terms.total - measured
-    return BoundReport(
-        theorem=terms.theorem,
-        labels=terms.labels,
-        terms=terms.terms,
-        total=terms.total,
-        measured=measured,
-        margin=margin,
-        holds=bool(measured <= terms.total),
-    )
+def compare(rhs: BoundReport, measured: float) -> BoundReport:
+    """The bound-vs-measurement report of a theorem whose preconditions hold."""
+    return replace(rhs, measured=measured)

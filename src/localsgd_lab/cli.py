@@ -608,7 +608,7 @@ def _schedule_report(args) -> list[str]:
             lines.append(f"{i + 1:5d}  {h:5d}  {cap:<11.6g}  {'ok' if ok else 'FAIL'}")
         lines.append(f"thm1 all_pass = {cond.all_pass}")
     if args.L is not None and args.c is not None and args.n_agents is not None:
-        cap = check_thm2_condition(sched, args.L, args.c, args.n_agents, sched.T)
+        cap = check_thm2_condition(sched, args.L, args.c, args.n_agents)
         state = "ok" if cap.ok else "FAIL"
         lines.append(f"thm2 cap = {cap.cap!r}  max H = {cap.max_H}  {state}")
     return lines

@@ -233,14 +233,6 @@ def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
                 yield out
 
 
-def noise_generator(seed: int, t: int) -> np.random.Generator:
-    """Reference generator for the (seed, t) noise block; used by tests."""
-    key = np.zeros(2, dtype=np.uint64)
-    key[0] = np.uint64(seed)
-    key[1] = np.uint64(t)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     n: int
@@ -510,7 +502,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         nonlocal held, held_by, X, Y, G, eta, plan
         Xs = snaps[:held]
         xbar = np.add.reduce(Xs, axis=2) / n  # ndarray.mean's bits, without its wrapper
-        rows = xbar.reshape(-1, d)
+        points = xbar.reshape(-1, d)
         out = {} if have_star else dict.fromkeys(("r", "e"), np.full((held, S), np.nan))
         if "r" in need or "ref_sq" in need:
             rv = xbar - ref
@@ -518,38 +510,31 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
             if have_star:
                 out["r"] = out["ref_sq"]
         if "e" in need and have_star:
-            out["e"] = (value(rows) - f_star).reshape(held, S)
+            out["e"] = (value(points) - f_star).reshape(held, S)
         if "V" in need:
             diff = Xs - xbar[:, :, None]
             out["V"] = np.einsum("ksij,ksij->ks", diff, diff) / n
         if "h" in need:
-            g = grad(rows)
+            g = grad(points)
             out["h"] = np.vecdot(g, g).reshape(held, S)
         if "dist_sq" in need:
             dref = Xs - ref
             out["dist_sq"] = np.einsum("ksij,ksij->ks", dref, dref) / n
         vals = np.stack([out[name] for name in need])
-        counts, order = [held], None
-        if C > 1:  # group the rows by config, keeping their order in time
-            owner = np.concatenate(owners)
-            order = np.argsort(owner, kind="stable")
-            vals = vals[:, order]
-            counts = np.bincount(owner, minlength=C).tolist()
+        owner = np.concatenate(owners)
         stopped = False
-        lo = 0
-        for k, m in enumerate(counts):
-            if m:
-                was = filled[k]
-                filled[k] += m
-                store[k][:, :, was:filled[k]] = vals[picks[k], lo:lo + m].transpose(0, 2, 1)
-                if k in stops:  # a stopped config holds no rows after its stop's pass
-                    i = _first_crossing(store[k][0, :, was:filled[k]],
-                                        can_stop[k][was:filled[k]], stops[k])
-                    if i is not None:
-                        ends[k] = was + i + 1
-                        ended_at[k] = xbar[lo + i if order is None else order[lo + i]]
-                        stopped = True
-                lo += m
+        for k in sorted(set(owner.tolist())):  # each config's rows, in their order in time
+            rows = np.flatnonzero(owner == k)
+            was = filled[k]
+            filled[k] += len(rows)
+            store[k][:, :, was:filled[k]] = vals[:, rows][picks[k]].transpose(0, 2, 1)
+            if k in stops:  # a stopped config holds no rows after its stop's pass
+                i = _first_crossing(store[k][0, :, was:filled[k]],
+                                    can_stop[k][was:filled[k]], stops[k])
+                if i is not None:
+                    ends[k] = was + i + 1
+                    ended_at[k] = xbar[rows[i]]
+                    stopped = True
         owners.clear()
         held = 0
         if stopped:

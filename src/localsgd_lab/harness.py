@@ -45,7 +45,7 @@ from .engine import (
     _divergence,
     run_cells,
 )
-from .objectives import Problem, SinusoidQuadraticProblem, problem_from_spec
+from .objectives import Problem, problem_from_spec
 from .schedules import (
     STRATEGIES,
     Schedule,
@@ -242,9 +242,15 @@ def _stepsize(spec: ExperimentSpec, consts, n: int, T: int, c: float | None = No
     return ConstantStepsize(float(c), n, T)
 
 
-def _final_error(agg: AggregateMetrics, use_r: bool) -> tuple[float, float]:
-    """Seed-mean r_T and its stderr, or without use_r the time-averaged h and its stderr."""
-    return (float(agg.mean_r[-1]), float(agg.se_r[-1])) if use_r else (agg.mean_avg_h, agg.se_avg_h)
+def _final_errors(problem: Problem, runs, seeds, names) -> Iterator[tuple[float, float]]:
+    """Each (schedule, stepsize) run's final error and its stderr, yielded in order:
+    seed-mean r_T on a family with a minimizer, else the time-averaged h. The runs
+    share a horizon T and go as one _simulate batch (names as there) recording t = 0 and T."""
+    use_r = problem.constants().x_star is not None
+    for agg in _simulate(problem, runs, seeds, record_stride=runs[0][0].T,
+                         track_averages=not use_r, names=names, series=("r",) if use_r else ()):
+        yield ((float(agg.mean_r[-1]), float(agg.se_r[-1])) if use_r else
+               (agg.mean_avg_h, agg.se_avg_h))
 
 
 def _resolve_c(spec: ExperimentSpec, problem: Problem, T: int) -> tuple[list[float], dict]:
@@ -256,15 +262,12 @@ def _resolve_c(spec: ExperimentSpec, problem: Problem, T: int) -> tuple[list[flo
     not finite (its run diverged) ranks last, and its error is written as None.
     """
     consts = problem.constants()
-    use_r = consts.x_star is not None
     scheds = [cell.build(problem.n, T)[0] for cell in spec.cells]
-    aggs = _simulate(problem, [(sched, _stepsize(spec, consts, problem.n, T, c))
-                               for sched in scheds for c in spec.c],
-                     spec.seeds[:10], record_stride=T, track_averages=not use_r, names=None,
-                     series=("r",) if use_r else ())
+    errors = _final_errors(problem, [(sched, _stepsize(spec, consts, problem.n, T, c))
+                                     for sched in scheds for c in spec.c], spec.seeds[:10], None)
     chosen, sweeps = [], {}
     for cell in spec.cells:
-        errs = [_final_error(next(aggs), use_r)[0] for _ in spec.c]
+        errs = [next(errors)[0] for _ in spec.c]
         best = min((err if math.isfinite(err) else math.inf, float(c))
                    for err, c in zip(errs, spec.c))[1]
         chosen.append(best)
@@ -305,8 +308,6 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
         raise ValueError("theorem 1 needs a strongly convex family with a minimizer")
     if thm == 2 and consts.x_star is None:
         raise ValueError("theorem 2 needs a family with a minimizer")
-    if thm == 3 and consts.f_star is None and not isinstance(problem, SinusoidQuadraticProblem):
-        raise ValueError("theorem 3 needs f* or a family with a value lower bound")
     stepsize = _stepsize(spec, consts, n, T)
     refusal = None
     if thm == 1:
@@ -319,8 +320,8 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
             bad = cond.per_round.index(False)
             refusal = f"round {bad + 1}: H={sched.H[bad]} exceeds cap {cond.caps[bad]:g}"
     else:
-        cond = (check_thm2_condition(sched, consts.L, stepsize.c, n, T) if thm == 2 else
-                check_thm3_condition(sched, consts.L, consts.B, stepsize.c, n, T))
+        cond = (check_thm2_condition(sched, consts.L, stepsize.c, n) if thm == 2 else
+                check_thm3_condition(sched, consts.L, consts.B, stepsize.c, n))
         cap = "sqrt(T)/(7Lc sqrt(n))" if thm == 2 else "sqrt(T)/(7LBc sqrt(n))"
         if not cond.ok:
             refusal = f"max H={cond.max_H} exceeds cap {cap}={cond.cap:g}"
@@ -332,17 +333,16 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
                       track_averages=False, names=["schedule"], series=_WRITTEN)
     r0 = None if consts.x_star is None else float(np.sum((x0 - consts.x_star) ** 2))
     if thm == 1:
-        rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, T=T, mu=consts.mu,
+        rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, mu=consts.mu,
                        L=consts.L, sigma_bar_sq=consts.sigma_bar_sq)
         return compare(rhs, float(agg.mean_r[-1])), agg
     if thm == 2:
-        rhs = thm2_rhs(sched, r0=r0, c=stepsize.c, n=n, T=T, L=consts.L,
+        rhs = thm2_rhs(sched, r0=r0, c=stepsize.c, n=n, L=consts.L,
                        sigma_bar_sq=consts.sigma_bar_sq)
     else:
-        # without f*, a lower bound on it keeps the bound valid (RHS increasing in e0)
-        f_low = consts.f_star if consts.f_star is not None else problem.value_lower_bound()
-        rhs = thm3_rhs(sched, e0=problem.global_value(x0) - f_low, c=stepsize.c, n=n, T=T,
-                       L=consts.L, sigma_sq=consts.sigma_sq, G=consts.G)
+        # f*, or a lower bound on it where f* is unknown: the RHS increases in e0
+        rhs = thm3_rhs(sched, e0=problem.global_value(x0) - problem.value_lower_bound(),
+                       c=stepsize.c, n=n, L=consts.L, sigma_sq=consts.sigma_sq, G=consts.G)
     series = agg.mean_e if thm == 2 else agg.mean_h
     return compare(rhs, math.fsum(series[:-1].tolist()) / T), agg
 
@@ -419,16 +419,11 @@ def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict
         cs, notes["sweeps"] = _resolve_c(spec, problems[max(problems)], T)
     by_cell: list[list[SpeedupRow]] = [[] for _ in spec.cells]
     for n, problem in problems.items():  # ascending, so n=1 comes first
-        consts = problem.constants()
-        use_r = consts.x_star is not None
         built = [cell.build(n, T) for cell in spec.cells]
-        aggs = _simulate(problem, [(sched, _stepsize(spec, consts, n, T, c))
-                                   for (sched, _), c in zip(built, cs)],
-                         spec.seeds, record_stride=T, track_averages=not use_r,
-                         names=[f"cell {cell.label} at n={n}" for cell in spec.cells],
-                         series=("r",) if use_r else ())
-        for cell, (sched, clamped), agg, rows in zip(spec.cells, built, aggs, by_cell):
-            mean_err, se_err = _final_error(agg, use_r)
+        errors = _final_errors(problem, [(sched, _stepsize(spec, problem.constants(), n, T, c))
+                                         for (sched, _), c in zip(built, cs)], spec.seeds,
+                               [f"cell {cell.label} at n={n}" for cell in spec.cells])
+        for cell, (sched, clamped), (mean_err, se_err), rows in zip(spec.cells, built, errors, by_cell):
             speedup, se_speedup = 1.0, 0.0
             if n != 1:
                 base_mean, base_se = rows[0].mean_error, rows[0].stderr

@@ -2,7 +2,7 @@
 
 Each problem is a collection of n agent objectives f_i over a shared variable,
 f(x) = (1/n) sum_i f_i(x). Problems expose one batched oracle interface (see
-Problem) and certified constants with provenance tags:
+Problem), certified constants and a lower bound on inf f, value_lower_bound():
 
   L            smoothness of every f_i
   mu           strong convexity of every f_i (0 when only convex)
@@ -11,13 +11,17 @@ Problem) and certified constants with provenance tags:
   sigma_sq     uniform bound on E||g_i(x) - grad f_i(x)||^2
   G, B         heterogeneity constants with
                (1/n) sum_i ||grad f_i(x)||^2 <= G^2 + B^2 ||grad f(x)||^2
+  x_star       the minimizer of f, and f_star = f(x_star) (both None when sigma_bar_sq is)
+
+Each constant's provenance is "undefined" when it is None, "numeric" when the
+family names it in ProblemConstants.numeric, and "analytic" otherwise.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,7 +42,13 @@ class ProblemConstants:
     B: float
     x_star: Vector | None
     f_star: float | None
-    provenance: dict = field(default_factory=dict)
+    numeric: tuple[str, ...] = ()  # the constants computed numerically, not in closed form
+
+    @property
+    def provenance(self) -> dict[str, str]:
+        """Every constant's name -> "undefined", "numeric" or "analytic"."""
+        return {f.name: "undefined" if getattr(self, f.name) is None else
+                "numeric" if f.name in self.numeric else "analytic" for f in fields(self)[:-1]}
 
     def __post_init__(self):
         if not (self.L >= self.mu >= 0):
@@ -111,6 +121,10 @@ class Problem:
                 a.flags.writeable = False
             cached = self._shaped_cache = (shape, arrays)
         return cached[1]
+
+    def value_lower_bound(self) -> float:
+        """A value no larger than inf f; f* by default."""
+        return self.constants().f_star
 
     def constants(self) -> ProblemConstants:
         cached = getattr(self, "_constants_cache", None)
@@ -190,11 +204,6 @@ class DiagonalQuadraticProblem(Problem):
             B=B,
             x_star=x_star,
             f_star=f_star,
-            provenance={
-                "L": "analytic", "mu": "analytic", "sigma_bar_sq": "analytic",
-                "sigma_sq": "analytic", "G": "analytic", "B": "analytic",
-                "x_star": "analytic", "f_star": "analytic",
-            },
         )
 
     def _bgd_certificate(self, x_star):
@@ -290,11 +299,6 @@ class SinusoidQuadraticProblem(Problem):
             B=1.0,
             x_star=None,
             f_star=None,
-            provenance={
-                "L": "analytic", "mu": "analytic", "sigma_bar_sq": "undefined",
-                "sigma_sq": "analytic", "G": "analytic", "B": "analytic",
-                "x_star": "undefined", "f_star": "undefined",
-            },
         )
 
 
@@ -416,11 +420,7 @@ class LogisticProblem(Problem):
             B=1.0,
             x_star=x_star,
             f_star=f_star,
-            provenance={
-                "L": "numeric", "mu": "analytic", "sigma_bar_sq": "numeric",
-                "sigma_sq": "analytic", "G": "analytic", "B": "analytic",
-                "x_star": "numeric", "f_star": "numeric",
-            },
+            numeric=("L", "sigma_bar_sq", "x_star", "f_star"),
         )
 
     def _solve_x_star(self, tol: float = 1e-10, max_iter: int = 500_000):

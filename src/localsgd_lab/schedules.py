@@ -148,16 +148,16 @@ def check_thm1_condition(schedule: Schedule, mu: float, L: float, beta: float) -
     return RoundConditionReport(per_round, caps, all(per_round))
 
 
-def check_thm2_condition(schedule: Schedule, L: float, c: float, n: int, T: int) -> CapConditionReport:
+def check_thm2_condition(schedule: Schedule, L: float, c: float, n: int) -> CapConditionReport:
     """Every round must satisfy H_i <= sqrt(T) / (7 L c sqrt(n))."""
-    return check_thm3_condition(schedule, L, 1.0, c, n, T)  # the thm3 cap at B = 1, same bits
+    return check_thm3_condition(schedule, L, 1.0, c, n)  # the thm3 cap at B = 1, same bits
 
 
-def check_thm3_condition(schedule: Schedule, L: float, B: float, c: float, n: int, T: int) -> CapConditionReport:
+def check_thm3_condition(schedule: Schedule, L: float, B: float, c: float, n: int) -> CapConditionReport:
     """Every round must satisfy H_i <= sqrt(T) / (7 L B c sqrt(n))."""
-    if not (L > 0 and B > 0 and c > 0 and n >= 1 and T >= 1):
-        raise ValueError(f"need L, B, c > 0 and n, T >= 1, got L={L}, B={B}, c={c}, n={n}, T={T}")
-    cap = math.sqrt(T) / (7 * L * B * c * math.sqrt(n))
+    if not (L > 0 and B > 0 and c > 0 and n >= 1):
+        raise ValueError(f"need L, B, c > 0 and n >= 1, got L={L}, B={B}, c={c}, n={n}")
+    cap = math.sqrt(schedule.T) / (7 * L * B * c * math.sqrt(n))
     max_H = max(schedule.H)
     return CapConditionReport(cap, max_H, max_H <= cap)
 

@@ -20,7 +20,6 @@ from localsgd_lab.engine import (
     _aggregate,
     _divergence,
     _mean_se,
-    noise_generator,
     run_batch,
     run_cells,
     run_local_sgd,
@@ -39,6 +38,14 @@ from localsgd_lab.schedules import (
     fixed_width_schedule,
     increasing_power_schedule,
 )
+
+
+def noise_generator(seed: int, t: int) -> np.random.Generator:
+    """Reference generator for the (seed, t) noise block."""
+    key = np.zeros(2, dtype=np.uint64)
+    key[0] = np.uint64(seed)
+    key[1] = np.uint64(t)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def scalar_problem():

@@ -110,6 +110,36 @@ def test_constants_cache_is_reused():
     assert p.constants() is p.constants()
 
 
+def test_provenance_pinned_per_family():
+    # every constant's tag, in field order; only logistic computes any numerically
+    analytic = dict.fromkeys(("L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "x_star",
+                              "f_star"), "analytic")
+    want = {
+        "strongly-convex-quadratic": analytic,
+        "convex-quadratic": analytic,
+        "nonconvex": {**analytic, **dict.fromkeys(("sigma_bar_sq", "x_star", "f_star"),
+                                                  "undefined")},
+        "logistic": {**analytic, **dict.fromkeys(("L", "sigma_bar_sq", "x_star", "f_star"),
+                                                 "numeric")},
+    }
+    for p in all_test_problems():
+        k = p.constants()
+        assert list(k.provenance.items()) == list(want[p.family_tag].items())
+        if k.f_star is not None:  # the default lower bound is f* itself
+            assert p.value_lower_bound() == k.f_star
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["strongly-convex-quadratic", "convex-quadratic", "nonconvex",
+                        "logistic"]),
+       st.integers(1, 4), st.integers(2, 4), st.integers(0, 50),
+       st.lists(st.floats(-50, 50), min_size=12, max_size=12))
+def test_value_lower_bound_is_below_f(family, n, d, seed, coords):
+    p = family_problem(family, n, d, seed)
+    x = np.array(coords[:p.dim])  # logistic has 3 * d <= 12 variables
+    assert p.value_lower_bound() <= p.global_value(x)
+
+
 def test_strongly_convex_pins_extreme_curvatures():
     p = make_strongly_convex_quadratics(n=5, d=6, mu=0.2, L=3.0, delta=0.5,
                                         sigma_noise=0.0, seed=1)

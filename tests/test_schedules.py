@@ -144,20 +144,20 @@ def test_check_thm1_truncation_keeps_admissibility():
 
 def test_check_thm2_condition_worked_example():
     sched = fixed_schedule(4900, 980)  # H_i = 5
-    rep = check_thm2_condition(sched, L=1, c=1, n=4, T=4900)
+    rep = check_thm2_condition(sched, L=1, c=1, n=4)
     assert rep.cap == pytest.approx(5.0)
     assert rep.ok
-    rep = check_thm2_condition(fixed_schedule(4900, 900), L=1, c=1, n=4, T=4900)
+    rep = check_thm2_condition(fixed_schedule(4900, 900), L=1, c=1, n=4)
     assert not rep.ok
 
 
 def test_check_thm3_condition_scales_with_B():
     sched = fixed_schedule(4900, 980)
-    rep = check_thm3_condition(sched, L=1, B=2, c=1, n=4, T=4900)
+    rep = check_thm3_condition(sched, L=1, B=2, c=1, n=4)
     assert isinstance(rep, CapConditionReport)
     assert rep.cap == pytest.approx(2.5)
     assert not rep.ok
-    assert check_thm3_condition(sched, L=1, B=1, c=1, n=4, T=4900).ok
+    assert check_thm3_condition(sched, L=1, B=1, c=1, n=4).ok
 
 
 def test_cubic_sum_worked_example():
