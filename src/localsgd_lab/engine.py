@@ -34,16 +34,17 @@ unstopped run; that pass rebuilds the batch's state without their rows, by
 the rule that built it. The seed mean is taken over the seeds of the call, so
 a stopped lane depends on which seeds share its call, not on which configs do.
 
-Recorded series (sampled at t = 0, multiples of record_stride, every
-communication instant, and t = T). A config computes only the series it names
-in RunConfig.series (all six by default); the others stay NaN, and a config
-that names none copies no state at all. A record point only copies the
-(S, n, d) states of the configs that record there into a snapshot buffer of
-about 64 KiB; when the buffer fills, and once after the last step, the series
-the batch's configs name are computed for every buffered snapshot in one
-batched pass, with the same formulas as a per-snapshot evaluation and so with
-the same bits, and each config's columns go to its own series. V is computed
-from the full state: after averaging it is rounding residue, not exactly 0.
+Recorded series (sampled at t = 0, the multiples of record_stride and t = T,
+and at every communication instant only for a config with record_comm or
+stop_below). A config computes only the series it names in RunConfig.series
+(all six by default); the others stay NaN, and one that names none copies no
+state at all. A record point only copies the (S, n, d) states of the configs
+that record there into a snapshot buffer of about 64 KiB; when the buffer
+fills, and once after the last step, the series the batch's configs name are
+computed for every buffered snapshot in one batched pass, with the same
+formulas as a per-snapshot evaluation and so with the same bits, and each
+config's columns go to its own series. V is computed from the full state:
+after averaging it is rounding residue, not exactly 0.
 
   r_t  = ||xbar_t - x*||^2          (NaN when the family has no x*)
   e_t  = f(xbar_t) - f*             (NaN likewise)
@@ -235,6 +236,9 @@ def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
+    """One run: it records at t = 0, the multiples of record_stride and T, and at
+    every communication instant too when it sets record_comm or stop_below."""
+
     n: int
     schedule: Schedule
     stepsize: StepsizePolicy
@@ -244,6 +248,7 @@ class RunConfig:
     track_averages: bool = True
     series: tuple[str, ...] = _SERIES  # the series computed at record points, from _SERIES
     stop_below: float | None = None  # end the lanes at their first crossing of this level
+    record_comm: bool = False
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
@@ -260,8 +265,6 @@ class RunConfig:
             raise ValueError(f"need record_stride >= 1, got {self.record_stride}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got {self.seed}")
-        if self.schedule.T < 1:
-            raise ValueError("schedule must cover at least one step")
         if self.stop_below is not None and (len(self.series) != 1 or self.track_averages):
             raise ValueError(f"stop_below needs exactly one series and track_averages=False, "
                              f"got series={self.series!r}, track_averages={self.track_averages}")
@@ -273,11 +276,11 @@ class RunMetrics:
 
     dist_sq and ref_sq are diagnostics for the averaging identity
     (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2 with ref = x* when the
-    family has one, else the origin. series names the series the config
-    computed; every other one is NaN. A lane whose config stops (stop_below)
-    ends at its crossing: t, is_comm and the series end there, and
-    final_x_bar is the mean iterate there. avg_h, the running average of h
-    over steps 0..T-1, is NaN unless track_averages.
+    family has one, else the origin. t holds the record points of RunConfig,
+    series the series the config computed; every other one is NaN. A lane
+    whose config stops (stop_below) ends at its crossing: t, is_comm and the
+    series end there, and final_x_bar is the mean iterate there. avg_h, the
+    running average of h over steps 0..T-1, is NaN unless track_averages.
     """
 
     seed: int
@@ -355,8 +358,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     Each (config, seed) pair is a lane, and all lanes share one (C, S, n, d)
     state that every step advances in one numpy pass. The configs must share
     n, x0, T and track_averages; they may differ in schedule, stepsize (each
-    evaluated for all T steps up front), record_stride, series and stop_below,
-    and config.seed is ignored. Seed s's noise for step t is drawn once, from
+    evaluated for all T steps up front), record_stride, record_comm, series
+    and stop_below, and each records at its own points (see RunConfig);
+    config.seed is ignored. Seed s's noise for step t is drawn once, from
     its own (seed, t) stream, for every config, so a lane's metrics are
     bitwise those of the one-config, one-seed batch.
 
@@ -414,7 +418,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         comm[k, np.asarray(config.schedule.tau[1:], dtype=np.int64)] = True
         record[k, :: config.record_stride] = True
     record[:, 0] = record[:, T] = True
-    record |= comm
+    record |= comm & np.array([[c.record_comm or c.stop_below is not None] for c in configs])
     rec_t = [np.flatnonzero(mask) for mask in record]
     rec_comm = [comm[k, t] for k, t in enumerate(rec_t)]
     # the series some config computes, in _SERIES order, and each config's rows of them

@@ -21,10 +21,13 @@ swept, after one c-sweep batch of every (cell, c) pair at the largest n.
 Each protocol computes only the series it reads: bounds and strategy-compare
 the four they write (r, e, V, h); rounds-to-target its measure (r, e or h);
 speedup and its c-sweep r when the family has a minimizer, and none
-otherwise, since the nonconvex error is the running average of h. And each
-simulates only as far as it reads: a rounds-to-target cell ends at its first
-crossing (RunConfig.stop_below) and leaves its batch, so its divergence is
-judged only up to there; the others read r_T or whole series and run to T.
+otherwise, since the nonconvex error is the running average of h. Each
+records only the points it reads: speedup and its c-sweep t = 0 and T alone,
+so they judge divergence on the final iterate, r_0, r_T and the running
+average of h; the others every communication instant too (RunConfig.record_comm).
+And each simulates only as far as it reads: a rounds-to-target cell ends at
+its first crossing (RunConfig.stop_below) and leaves its batch, so its
+divergence is judged only up to there; the others run to T.
 """
 
 from __future__ import annotations
@@ -197,14 +200,15 @@ class ExperimentSpec:
 
 
 def _simulate(problem: Problem, runs, seeds, record_stride: int, track_averages: bool,
-              names: list[str] | None, series: tuple[str, ...],
+              names: list[str] | None, series: tuple[str, ...], record_comm: bool,
               stop_below: float | None = None) -> Iterator[AggregateMetrics]:
     """Seed-mean metrics of each (schedule, stepsize) run from x0 = 0, yielded in order.
 
-    All runs go as one engine batch and compute the given series; each is
-    reduced over its seeds only when the caller asks for it. With stop_below,
-    each run ends at its first crossing of that level (RunConfig.stop_below),
-    so divergence is judged only up to there. With names (one per run), the
+    All runs go as one engine batch, compute the given series and record
+    communication instants only when record_comm (RunConfig); each is reduced
+    over its seeds only when the caller asks for it. With stop_below, each
+    run ends at its first crossing of that level (RunConfig.stop_below), so
+    divergence is judged only up to there. With names (one per run), the
     first run whose seeds diverged raises DivergenceError naming it; with
     names=None diverged seeds are left in the result.
     """
@@ -212,7 +216,7 @@ def _simulate(problem: Problem, runs, seeds, record_stride: int, track_averages:
     cells = run_cells(problem, [
         RunConfig(n=problem.n, schedule=sched, stepsize=stepsize, x0=x0, seed=0,
                   record_stride=record_stride, track_averages=track_averages, series=series,
-                  stop_below=stop_below)
+                  stop_below=stop_below, record_comm=record_comm)
         for sched, stepsize in runs], seeds)
     for k in range(len(cells)):
         agg = _aggregate(cells[k])
@@ -247,8 +251,8 @@ def _final_errors(problem: Problem, runs, seeds, names) -> Iterator[tuple[float,
     seed-mean r_T on a family with a minimizer, else the time-averaged h. The runs
     share a horizon T and go as one _simulate batch (names as there) recording t = 0 and T."""
     use_r = problem.constants().x_star is not None
-    for agg in _simulate(problem, runs, seeds, record_stride=runs[0][0].T,
-                         track_averages=not use_r, names=names, series=("r",) if use_r else ()):
+    for agg in _simulate(problem, runs, seeds, record_stride=runs[0][0].T, track_averages=not use_r,
+                         names=names, series=("r",) if use_r else (), record_comm=False):
         yield ((float(agg.mean_r[-1]), float(agg.se_r[-1])) if use_r else
                (agg.mean_avg_h, agg.se_avg_h))
 
@@ -330,7 +334,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
 
     [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
                       record_stride=spec.record_stride if thm == 1 else 1,
-                      track_averages=False, names=["schedule"], series=_WRITTEN)
+                      track_averages=False, names=["schedule"], series=_WRITTEN, record_comm=True)
     r0 = None if consts.x_star is None else float(np.sum((x0 - consts.x_star) ** 2))
     if thm == 1:
         rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, mu=consts.mu,
@@ -383,7 +387,7 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
     # (eligible), so a cell reached the threshold iff its last record point is under it
     aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.t_max, track_averages=False,
                      names=[f"cell {cell.label}" for cell in spec.cells], series=(spec.measure,),
-                     stop_below=threshold)
+                     record_comm=True, stop_below=threshold)
     rows = []
     for cell, (sched, _), agg in zip(spec.cells, runs, aggs):
         if getattr(agg, f"mean_{spec.measure}")[-1] <= threshold:
@@ -452,5 +456,5 @@ def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, Ag
     runs = [(cell.build(problem.n, spec.T)[0], stepsize) for cell in spec.cells]
     aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.record_stride,
                      track_averages=False, names=[f"cell {cell.label}" for cell in spec.cells],
-                     series=_WRITTEN)
+                     series=_WRITTEN, record_comm=True)
     return {cell.label: agg for cell, agg in zip(spec.cells, aggs)}

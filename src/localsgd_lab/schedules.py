@@ -25,7 +25,9 @@ class Schedule:
 
     def __post_init__(self):
         H = tuple(map(int, self.H))
-        if H != tuple(self.H) or min(H, default=1) < 1:  # name the first bad width
+        if not H:
+            raise ValueError("a schedule needs at least one round, got no round lengths H")
+        if H != tuple(self.H) or min(H) < 1:  # name the first bad width
             i, h = next((i, h) for i, h in enumerate(self.H) if int(h) != h or int(h) < 1)
             raise ValueError(f"H[{i}] = {h!r}: round lengths must be integers >= 1")
         object.__setattr__(self, "H", H)

@@ -376,7 +376,7 @@ def test_averaging_identities_hold_on_every_lane(case, problem_seed):
     p = _family(family, n, d, problem_seed)
     x_star = p.constants().x_star
     ref_norm_sq = 0.0 if x_star is None else float(x_star @ x_star)
-    configs = [cfg(p, sched, step, record_stride=stride, track_averages=track)
+    configs = [cfg(p, sched, step, record_stride=stride, track_averages=track, record_comm=True)
                for sched, stride, step in cells]
     residue = (4 * n * np.finfo(float).eps) ** 2
     for config, lanes in zip(configs, run_cells(p, configs, seeds)):
@@ -402,6 +402,8 @@ def per_record_series(p, config, seeds):
     have_star = consts.x_star is not None
     ref = consts.x_star if have_star else np.zeros(p.dim)
     comm = set(config.schedule.tau[1:])
+    # the communication instants the config records: all of them, or none
+    comm_records = comm if config.record_comm or config.stop_below is not None else set()
     out = {name: [] for name in SERIES}
     X = np.tile(config.x0, (S, n, 1))
 
@@ -432,7 +434,7 @@ def per_record_series(p, config, seeds):
             X -= G
             if t + 1 in comm:
                 X[:] = X.mean(axis=1, keepdims=True)
-            if (t + 1) % config.record_stride == 0 or t + 1 == T or t + 1 in comm:
+            if (t + 1) % config.record_stride == 0 or t + 1 == T or t + 1 in comm_records:
                 record()
     return {name: np.stack(values, axis=1) for name, values in out.items()}
 
@@ -452,21 +454,23 @@ def snapshot_cases(draw):
     d = draw(st.integers(2, 4))
     H = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     stride = draw(st.integers(1, sum(H) + 1))
+    record_comm = draw(st.booleans())
     seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True))
     sched = Schedule(tuple(H))
-    records = len(set(range(0, sched.T + 1, stride)) | set(sched.tau) | {sched.T})
+    comm = set(sched.tau) if record_comm else set()
+    records = len(set(range(0, sched.T + 1, stride)) | comm | {0, sched.T})
     # snapshots per chunk: more than, exactly, and fewer than the record points
     chunk = draw(st.sampled_from(sorted({records + 1, records, max(1, records - 1), 1, 2})))
-    return family, n, d, sched, stride, seeds, chunk
+    return family, n, d, sched, stride, record_comm, seeds, chunk
 
 
 @settings(max_examples=80, deadline=None)
 @given(snapshot_cases(), st.integers(0, 50), st.booleans())
 def test_chunked_metrics_equal_per_record_metrics(case, problem_seed, track):
-    family, n, d, sched, stride, seeds, chunk = case
+    family, n, d, sched, stride, record_comm, seeds, chunk = case
     p = _family(family, n, d, problem_seed)
     config = cfg(p, sched, ConstantStepsize(0.5, n, sched.T),
-                 record_stride=stride, track_averages=track)
+                 record_stride=stride, track_averages=track, record_comm=record_comm)
     state_bytes = len(seeds) * n * p.dim * 8
     with mock.patch.object(engine, "_SNAPSHOT_BYTES", chunk * state_bytes):
         runs = run_batch(p, config, seeds)
@@ -475,11 +479,11 @@ def test_chunked_metrics_equal_per_record_metrics(case, problem_seed, track):
 
 @st.composite
 def series_cases(draw):
-    family, n, d, sched, stride, seeds, chunk = draw(snapshot_cases())
+    family, n, d, sched, stride, record_comm, seeds, chunk = draw(snapshot_cases())
     subsets = draw(st.lists(st.sets(st.sampled_from(SERIES)), min_size=1, max_size=3))
     # the all-series config and the empty subset sit anywhere in the batch
     picks = draw(st.permutations([SERIES, (), *(tuple(sub) for sub in subsets)]))
-    return family, n, d, sched, stride, seeds, chunk, picks
+    return family, n, d, sched, stride, record_comm, seeds, chunk, picks
 
 
 @settings(max_examples=80, deadline=None)
@@ -487,10 +491,11 @@ def series_cases(draw):
 def test_selected_series_equal_the_all_series_lane(case, problem_seed, track):
     # one batch of configs that differ only in the series they compute: each
     # computed series has the bits of the all-series lane, the others are NaN
-    family, n, d, sched, stride, seeds, chunk, picks = case
+    family, n, d, sched, stride, record_comm, seeds, chunk, picks = case
     p = _family(family, n, d, problem_seed)
     configs = [cfg(p, sched, ConstantStepsize(0.5, n, sched.T), record_stride=stride,
-                   track_averages=track, series=series) for series in picks]
+                   track_averages=track, series=series, record_comm=record_comm)
+               for series in picks]
     with mock.patch.object(engine, "_SNAPSHOT_BYTES", chunk * len(seeds) * n * p.dim * 8):
         lanes = run_cells(p, configs, seeds)
     full = lanes[picks.index(SERIES)]
@@ -511,6 +516,44 @@ def test_selected_series_equal_the_all_series_lane(case, problem_seed, track):
             for stat in (f"mean_{name}", f"se_{name}"):
                 want = getattr(every, stat) if name in config.series else unset
                 assert getattr(agg, stat).tobytes() == want.tobytes(), stat
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch_cases(), st.integers(0, 50), st.data())
+def test_record_comm_adds_only_the_communication_rows(case, problem_seed, data):
+    # without record_comm a config records t = 0, the multiples of its stride and
+    # T, and its lanes are the record_comm lanes at those points, bit for bit
+    family, n, d, cells, track, seeds, rows = case
+    p = _family(family, n, d, problem_seed)
+    configs = [cfg(p, sched, step, record_stride=stride, track_averages=track,
+                   series=tuple(data.draw(st.sets(st.sampled_from(SERIES)))),
+                   record_comm=data.draw(st.booleans()))
+               for sched, stride, step in cells]
+    with mock.patch.object(engine, "_SNAPSHOT_BYTES", rows * len(seeds) * n * p.dim * 8):
+        mixed = run_cells(p, configs, seeds)
+        full = run_cells(p, [replace(config, record_comm=True) for config in configs], seeds)
+    for config, got, want in zip(configs, mixed, full):
+        T = config.schedule.T
+        lean_t = sorted({*range(0, T + 1, config.record_stride), T})
+        for a, b in zip(got, want):
+            assert a.t.tolist() == (b.t.tolist() if config.record_comm else lean_t)
+            keep = np.isin(b.t, a.t)
+            for name in (name for name in RUN_FIELDS if name != "final_x_bar"):
+                x, y = getattr(a, name), getattr(b, name)[keep]
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+            assert a.final_x_bar.tobytes() == b.final_x_bar.tobytes()
+            assert np.float64(a.avg_h).tobytes() == np.float64(b.avg_h).tobytes()
+    # a stop_below config records its communication instants with or without the flag
+    name = data.draw(st.sampled_from(["r", "e", "V", "h"]))
+    level = data.draw(st.floats(0.0, 4.0) | st.just(-1.0))
+    stopping = [replace(config, series=(name,), track_averages=False, stop_below=level)
+                for config in configs]
+    lanes = [run_cells(p, [replace(config, record_comm=flag) for config in stopping], seeds)
+             for flag in (False, True)]
+    for config, got, want in zip(stopping, *lanes):
+        for a, b in zip(got, want):
+            assert_runs_bitwise_equal(a, b)
+            assert set(config.schedule.tau) & set(range(a.t[-1] + 1)) <= set(a.t.tolist())
 
 
 @st.composite
@@ -544,7 +587,8 @@ def test_stopped_lanes_are_the_prefix_of_their_unstopped_runs(case, problem_seed
     p = _family(family, n, d, problem_seed)
     T = cells[0][0].T
     configs = [cfg(p, sched, ConstantStepsize(c, n, T), record_stride=stride,
-                   track_averages=False, series=(series,)) for sched, stride, c in cells]
+                   track_averages=False, series=(series,), record_comm=True)
+               for sched, stride, c in cells]
     full = run_cells(p, configs, seeds)
     stopping, crossings = [], []
     for config, lanes in zip(configs, full):
@@ -554,7 +598,7 @@ def test_stopped_lanes_are_the_prefix_of_their_unstopped_runs(case, problem_seed
         # a level some eligible seed mean meets, or one below them all
         level = data.draw(st.sampled_from(sorted(means[eligible].tolist()))
                           | st.just(means[eligible].min() - 1.0))
-        stopping.append(replace(config, stop_below=level))
+        stopping.append(replace(config, stop_below=level, record_comm=data.draw(st.booleans())))
         hit = np.flatnonzero(eligible & (means <= level))
         crossings.append(int(hit[0]) if len(hit) else None)
     row_bytes = len(seeds) * n * p.dim * 8
@@ -602,7 +646,7 @@ def test_a_stop_rebuilds_the_batch_as_each_config_runs_alone(case):
                    stop_below=stop_below)
 
     def level_at(config, t):  # the seed mean of r at t, so the config crosses at t or before
-        agg = _aggregate(run_cells(p, [config], seeds)[0])
+        agg = _aggregate(run_cells(p, [replace(config, record_comm=True)], seeds)[0])
         return float(agg.mean_r[list(agg.t).index(t)])
 
     survivor = config(0.8, 4)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from localsgd_lab import harness
 from localsgd_lab.bounds import thm1_rhs
 from localsgd_lab.engine import InverseTimeStepsize, RunConfig, run_many
 from localsgd_lab.harness import (
@@ -401,6 +402,26 @@ def test_sweep_ranks_diverged_c_last_and_runs_raise_on_divergence():
             cells=(StrategyCell(label="f", kind="fixed", R=20),)))
 
 
+@pytest.mark.parametrize("problem", [SC_SPEC, dict(
+    family="nonconvex", n=1, d=4, Q_diag=[1.0, 0.5, 0.2, 0.1], delta=1.0, eps_sin=0.2,
+    sigma_noise=1.0, seed=7)])
+def test_speedup_batches_record_only_t0_and_T(problem, monkeypatch):
+    # speedup and its c-sweep read r_T or the running average of h, so a cell with
+    # many rounds records t = 0 and T alone, and divergence is judged on those
+    T, aggregated, aggregate = 200, [], harness._aggregate
+
+    def spy(runs):
+        agg = aggregate(runs)
+        aggregated.append(agg.t.tolist())
+        return agg
+
+    monkeypatch.setattr(harness, "_aggregate", spy)
+    run_speedup_experiment(ExperimentSpec(
+        kind="speedup", problem=problem, seeds=(0, 1), stepsize_policy="constant",
+        c=(0.1, 0.3), n_list=(1, 2), T=T, cells=(StrategyCell(label="f", kind="fixed", R=20),)))
+    assert len(aggregated) == 4 and all(t == [0, T] for t in aggregated)
+
+
 def test_strategy_compare_shares_stepsize_and_seeds():
     prob = sc_problem()
     spec = ExperimentSpec(
@@ -416,5 +437,5 @@ def test_strategy_compare_shares_stepsize_and_seeds():
     direct = run_many(prob, RunConfig(
         n=prob.n, schedule=StrategyCell(label="A", kind="fixed", R=12).build(prob.n, 120)[0],
         stepsize=InverseTimeStepsize(0.5, 80.0),
-        x0=np.zeros(prob.dim), seed=0, record_stride=30), (0, 1, 2))
+        x0=np.zeros(prob.dim), seed=0, record_stride=30, record_comm=True), (0, 1, 2))
     assert np.array_equal(out["A"].mean_r, direct.mean_r)

@@ -40,6 +40,13 @@ def test_schedule_rejects_bad_rounds():
         Schedule((1.5, 2))
 
 
+def test_empty_schedule_is_refused_at_both_entry_points():
+    for build in (lambda: Schedule(()),
+                  lambda: schedule_from_spec({"strategy": "explicit", "H": []})):
+        with pytest.raises(ValueError, match="at least one round"):
+            build()
+
+
 def test_fixed_schedule_worked_example():
     assert fixed_schedule(10, 3).H == (4, 3, 3)
 
