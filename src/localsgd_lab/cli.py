@@ -7,7 +7,8 @@ Three subcommands:
   plotdata  turn result CSVs into whitespace .dat files for gnuplot
 
 Exit codes: 0 ok, 2 invalid input (JSON, schema, parameter, or output path), 3 theorem
-precondition refusal, 4 numerical failure (a simulated run diverged).
+precondition refusal, 4 numerical failure (a simulated run diverged, or a numeric
+constant did not converge), 5 the noise child process failed.
 Runs are deterministic: the same config produces byte-identical CSVs, and the
 engine's batches are partition invariant, so the bytes do not depend on
 which seeds and cells are simulated together. A large per-seed or per-label
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import _forked
+from .engine import NoiseDrawError, _forked
 from .harness import (
     ExperimentSpec,
     PreconditionError,
@@ -583,9 +584,12 @@ def cmd_run(args) -> int:
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:  # harness.DivergenceError, or an overflow
+    except ArithmeticError as exc:  # DivergenceError, ConstantsError, or an overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except NoiseDrawError as exc:  # the child's traceback is already on stderr
+        print(f"noise draw failed: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -69,12 +69,7 @@ class DivergenceError(ArithmeticError):
 
 
 class PreconditionError(RuntimeError):
-    """An experiment refused to run because a theorem precondition failed."""
-
-    def __init__(self, condition: str, detail: str):
-        super().__init__(f"{condition}: {detail}")
-        self.condition = condition
-        self.detail = detail
+    """A theorem precondition failed; the message is `check_thmN_condition: <refusal>`."""
 
 
 @dataclass(frozen=True)
@@ -330,7 +325,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
         if not cond.ok:
             refusal = f"max H={cond.max_H} exceeds cap {cap}={cond.cap:g}"
     if refusal is not None:
-        raise PreconditionError(f"check_thm{thm}_condition", refusal)
+        raise PreconditionError(f"check_thm{thm}_condition: {refusal}")
 
     [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
                       record_stride=spec.record_stride if thm == 1 else 1,

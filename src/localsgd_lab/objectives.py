@@ -28,7 +28,7 @@ import numpy as np
 Vector = np.ndarray
 
 
-class ConstantsError(RuntimeError):
+class ConstantsError(ArithmeticError):
     """Raised when a numeric constant oracle fails to converge."""
 
 
@@ -83,10 +83,8 @@ class Problem:
     one-point views.
     """
 
-    family_tag: str
     n: int
     dim: int
-    spec: dict | None
     has_gradient_noise: bool
 
     def _check_x(self, x) -> Vector:
@@ -142,8 +140,7 @@ class DiagonalQuadraticProblem(Problem):
     merely convex one (per-agent zero curvatures, positive on average).
     """
 
-    def __init__(self, q, c, sigma_noise: float, mu: float, L: float,
-                 family_tag: str, spec: dict | None = None):
+    def __init__(self, q, c, sigma_noise: float, mu: float, L: float):
         q = np.asarray(q, dtype=float)
         c = np.asarray(c, dtype=float)
         if q.ndim != 2 or q.shape != c.shape:
@@ -157,8 +154,6 @@ class DiagonalQuadraticProblem(Problem):
         self.sigma_noise = float(sigma_noise)
         self.declared_mu = float(mu)
         self.declared_L = float(L)
-        self.family_tag = family_tag
-        self.spec = spec
         self.n, self.dim = q.shape
         self.has_gradient_noise = sigma_noise > 0
         self._qbar = q.mean(axis=0)
@@ -234,7 +229,7 @@ class SinusoidQuadraticProblem(Problem):
     (1/n) sum_i ||grad f_i(x)||^2 = ||grad f(x)||^2 + G^2 holds exactly.
     """
 
-    def __init__(self, Q, c, eps_sin: float, sigma_noise: float, spec: dict | None = None):
+    def __init__(self, Q, c, eps_sin: float, sigma_noise: float):
         Q = np.asarray(Q, dtype=float)
         c = np.asarray(c, dtype=float)
         if Q.ndim != 1 or c.ndim != 2 or c.shape[1] != Q.shape[0]:
@@ -245,8 +240,6 @@ class SinusoidQuadraticProblem(Problem):
         self.c = c
         self.eps_sin = float(eps_sin)
         self.sigma_noise = float(sigma_noise)
-        self.family_tag = "nonconvex"
-        self.spec = spec
         self.n, self.dim = c.shape
         self.has_gradient_noise = sigma_noise > 0
         self._cbar = c.mean(axis=0)
@@ -311,8 +304,7 @@ class LogisticProblem(Problem):
     ridge term; its noise is that sample's index, an int64 (*lead, n) block.
     """
 
-    def __init__(self, features: list, labels: list, K: int, lam: float,
-                 spec: dict | None = None):
+    def __init__(self, features: list, labels: list, K: int, lam: float):
         if lam <= 0:
             raise ValueError("lam must be positive")
         self.n = len(features)
@@ -322,8 +314,6 @@ class LogisticProblem(Problem):
         self.lam = float(lam)
         self.d = int(np.asarray(features[0]).shape[1])
         self.dim = self.K * self.d
-        self.family_tag = "logistic"
-        self.spec = spec
         self.has_gradient_noise = True
         self.counts = np.array([len(f) for f in features], dtype=np.int64)
         if np.any(self.counts < 1):
@@ -489,10 +479,7 @@ def make_strongly_convex_quadratics(n: int, d: int, mu: float, L: float,
     q[:, 0] = L
     q[:, 1] = mu
     c = _deflected_centers(rng, n, d, delta)
-    spec = {"family": "strongly-convex-quadratic", "n": n, "d": d, "mu": mu, "L": L,
-            "delta": delta, "sigma_noise": sigma_noise, "seed": seed}
-    return DiagonalQuadraticProblem(q, c, sigma_noise, mu, L,
-                                    "strongly-convex-quadratic", spec)
+    return DiagonalQuadraticProblem(q, c, sigma_noise, mu, L)
 
 
 def make_convex_quadratics(n: int, d: int, L: float, eps_pd: float,
@@ -516,11 +503,7 @@ def make_convex_quadratics(n: int, d: int, L: float, eps_pd: float,
         q[0, 0] = L
         if np.all(q.mean(axis=0) >= eps_pd):
             c = _deflected_centers(rng, n, d, delta)
-            spec = {"family": "convex-quadratic", "n": n, "d": d, "L": L,
-                    "eps_pd": eps_pd, "delta": delta, "sigma_noise": sigma_noise,
-                    "seed": seed}
-            return DiagonalQuadraticProblem(q, c, sigma_noise, 0.0, L,
-                                            "convex-quadratic", spec)
+            return DiagonalQuadraticProblem(q, c, sigma_noise, 0.0, L)
     raise ValueError(
         f"no draw with averaged curvature >= {eps_pd} in 100 attempts; lower eps_pd"
     )
@@ -536,10 +519,7 @@ def make_nonconvex_family(n: int, d: int, Q_diag, delta: float, eps_sin: float,
         raise ValueError("need n >= 1 and nonnegative delta, eps_sin, sigma_noise")
     rng = np.random.default_rng(seed)
     c = _deflected_centers(rng, n, d, delta)
-    spec = {"family": "nonconvex", "n": n, "d": d, "Q_diag": Q_diag.tolist(),
-            "delta": delta, "eps_sin": eps_sin, "sigma_noise": sigma_noise,
-            "seed": seed}
-    return SinusoidQuadraticProblem(Q_diag, c, eps_sin, sigma_noise, spec)
+    return SinusoidQuadraticProblem(Q_diag, c, eps_sin, sigma_noise)
 
 
 def make_logistic_family(n: int, d: int, K: int, m: int, shards_per_agent: int,
@@ -567,9 +547,7 @@ def make_logistic_family(n: int, d: int, K: int, m: int, shards_per_agent: int,
         mine = np.concatenate([shard_ids[s] for s in deal[i * shards_per_agent:(i + 1) * shards_per_agent]])
         features.append(A[mine])
         labels.append(y[mine])
-    spec = {"family": "logistic", "n": n, "d": d, "K": K, "m": m,
-            "shards_per_agent": shards_per_agent, "lam": lam, "seed": seed}
-    return LogisticProblem(features, labels, K, lam, spec)
+    return LogisticProblem(features, labels, K, lam)
 
 
 MAKERS = {  # every problem family, by the name a config's problem block gives it
@@ -581,7 +559,7 @@ MAKERS = {  # every problem family, by the name a config's problem block gives i
 
 
 def problem_from_spec(spec: dict) -> Problem:
-    """Rebuild a problem from its generator spec dict (family + parameters + seed)."""
+    """Build a problem from a config's problem block (family + parameters + seed)."""
     spec = dict(spec)
     family = spec.pop("family", None)
     maker = MAKERS.get(family)

@@ -10,7 +10,6 @@ admissibility checks that the convergence guarantees need.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,12 +39,6 @@ class Schedule:
     @property
     def R(self) -> int:
         return len(self.H)
-
-    def round_index(self, t: int) -> int:
-        """Index k with tau_k <= t < tau_{k+1} (0-based; k=0 is the first round)."""
-        if not 0 <= t < self.T:
-            raise ValueError(f"t = {t} outside [0, {self.T})")
-        return bisect.bisect_right(self.tau, t) - 1
 
 
 def fixed_schedule(T: int, R: int) -> Schedule:

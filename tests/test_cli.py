@@ -31,7 +31,12 @@ from localsgd_lab.cli import (
     spec_from_config,
 )
 from localsgd_lab.harness import RRule
-from localsgd_lab.objectives import MAKERS, DiagonalQuadraticProblem, problem_from_spec
+from localsgd_lab.objectives import (
+    MAKERS,
+    DiagonalQuadraticProblem,
+    LogisticProblem,
+    problem_from_spec,
+)
 from localsgd_lab.schedules import ALIASES, STRATEGIES, beta_for_increasing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -732,7 +737,7 @@ def test_run_rounds_to_target_cell_that_diverges_after_its_crossing_exits_0(
     # t = 2 and overflows later, so it is reached; unreached, it still exits 4
     # eta = c sqrt(n / t_max) = 0.95 on f = (1/2)((x_1 - 1)^2 + 4 (x_2 - 1e-3)^2)
     problem = DiagonalQuadraticProblem(np.array([[1.0, 4.0]]), np.array([[1.0, 1e-3]]), 0.0,
-                                       mu=1.0, L=4.0, family_tag="strongly-convex-quadratic")
+                                       mu=1.0, L=4.0)
     monkeypatch.setattr(localsgd_lab.cli, "problem_from_spec", lambda spec: problem)
     cfg = {"experiment": {"kind": "rounds-to-target", "t_max": 400, "threshold": 1e-3,
                           "measure": "r",
@@ -748,6 +753,51 @@ def test_run_rounds_to_target_cell_that_diverges_after_its_crossing_exits_0(
     assert main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "unreached")]) == 4
     assert capsys.readouterr().err == ("numerical failure: cell unit: seeds [0] diverged "
                                        "(r overflowed); lower the stepsize\n")
+
+
+def test_run_exit4_when_the_x_star_solver_does_not_converge(tmp_path, capsys, monkeypatch):
+    # the logistic family's x* comes from an iterative solver; one iteration
+    # leaves it short of its tolerance, and the run writes nothing
+    solve = LogisticProblem._solve_x_star
+    monkeypatch.setattr(LogisticProblem, "_solve_x_star", lambda self: solve(self, max_iter=1))
+    cfg = {"experiment": {"kind": "strategy-compare", "T": 20, "record_stride": 10,
+                          "cells": [{"label": "unit", "kind": "fixed-width", "H": 1}]},
+           "problem": {"family": "logistic", "n": 2, "d": 2, "K": 3, "m": 6,
+                       "shards_per_agent": 1, "lam": 0.1, "seed": 0},
+           "stepsize": {"policy": "constant", "c": 0.1},
+           "seeds": [0]}
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == ("numerical failure: x* solver did not reach "
+                                       "||grad|| <= 1e-10 within 1 iterations\n")
+    assert not out.exists()
+
+
+def test_run_exit5_when_the_noise_child_fails(tmp_path, capfd, monkeypatch):
+    # one step per noise block: this process draws step 0, the child the rest,
+    # and the child's third draw fails; its traceback precedes the CLI's line
+    parent, draw, drawn = os.getpid(), DiagonalQuadraticProblem.draw_noise, []
+
+    def failing_draw(self, gens, out):
+        drawn.append(None)
+        if os.getpid() != parent and len(drawn) == 3:  # the child's block of step 3
+            raise RuntimeError("draw failed in the child")
+        draw(self, gens, out)
+
+    monkeypatch.setattr(DiagonalQuadraticProblem, "draw_noise", failing_draw)
+    monkeypatch.setattr(localsgd_lab.engine, "_NOISE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = {"experiment": {"kind": "strategy-compare", "T": 40, "record_stride": 10,
+                          "cells": [{"label": "unit", "kind": "fixed-width", "H": 4}]},
+           "problem": CONVEX_FAMILY, "stepsize": {"policy": "constant", "c": 0.1},
+           "seeds": [3, 5]}
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
+    err = capfd.readouterr().err
+    assert "RuntimeError: draw failed in the child" in err
+    assert err.endswith("noise draw failed: the noise child process failed before step 3; "
+                        "its traceback is on stderr\n")
+    assert not out.exists()
 
 
 def test_run_seed_offset(tmp_path, capsys):

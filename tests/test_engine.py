@@ -50,7 +50,7 @@ def noise_generator(seed: int, t: int) -> np.random.Generator:
 
 def scalar_problem():
     return DiagonalQuadraticProblem(np.array([[1.0]]), np.array([[0.0]]), 0.0,
-                                    mu=1.0, L=1.0, family_tag="strongly-convex-quadratic")
+                                    mu=1.0, L=1.0)
 
 
 def noisy_problem(n=4, d=6, sigma=0.8, seed=17):
@@ -88,7 +88,7 @@ def test_single_noiseless_step_oracle():
 def test_noiseless_run_matches_closed_form_gd():
     # with eta_t = eta and f = q x^2 / 2: x_T = x0 * prod(1 - eta q)
     p = DiagonalQuadraticProblem(np.array([[0.5, 2.0]]), np.zeros((1, 2)), 0.0,
-                                 mu=0.5, L=2.0, family_tag="strongly-convex-quadratic")
+                                 mu=0.5, L=2.0)
     T = 20
     config = RunConfig(n=1, schedule=fixed_schedule(T, 4), stepsize=ConstantStepsize(0.3, 1, T),
                        x0=np.array([1.0, 1.0]), seed=0)

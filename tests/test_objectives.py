@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localsgd_lab.objectives import (
+    MAKERS,
     DiagonalQuadraticProblem,
     LogisticProblem,
     ProblemConstants,
@@ -15,13 +16,23 @@ from localsgd_lab.objectives import (
     problem_from_spec,
 )
 
+FAMILY_BLOCKS = {  # a config problem block for each family, less its "family" key
+    "strongly-convex-quadratic": {"n": 4, "d": 5, "mu": 0.1, "L": 1.0, "delta": 1.0,
+                                  "sigma_noise": 0.5, "seed": 7},
+    "convex-quadratic": {"n": 3, "d": 4, "L": 2.0, "eps_pd": 0.05, "delta": 0.7,
+                         "sigma_noise": 0.3, "seed": 11},
+    "nonconvex": {"n": 4, "d": 5, "Q_diag": np.linspace(0.2, 1.0, 5).tolist(), "delta": 1.0,
+                  "eps_sin": 0.3, "sigma_noise": 0.4, "seed": 3},
+    "logistic": {"n": 4, "d": 4, "K": 5, "m": 12, "shards_per_agent": 2, "lam": 0.05,
+                 "seed": 19},
+}
+
 
 def hand_quadratic(sigma_noise=0.3):
     # q = 1 everywhere, centers +-e1: x* = 0, f* = 0.5, sigma_bar_sq = 1 + noise^2
     q = np.ones((2, 2))
     c = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    return DiagonalQuadraticProblem(q, c, sigma_noise, mu=1.0, L=1.0,
-                                    family_tag="strongly-convex-quadratic")
+    return DiagonalQuadraticProblem(q, c, sigma_noise, mu=1.0, L=1.0)
 
 
 def fd_grad(f, x, h=1e-5):
@@ -48,15 +59,14 @@ def at_every_agent(x, n):
 
 
 def all_test_problems():
+    """(family, problem) for every family, each problem built by its maker from
+    the family's FAMILY_BLOCKS parameters."""
     return [
-        make_strongly_convex_quadratics(n=4, d=5, mu=0.1, L=1.0, delta=1.0,
-                                        sigma_noise=0.5, seed=7),
-        make_convex_quadratics(n=3, d=4, L=2.0, eps_pd=0.05, delta=0.7,
-                               sigma_noise=0.3, seed=11),
-        make_nonconvex_family(n=4, d=5, Q_diag=np.linspace(0.2, 1.0, 5),
-                              delta=1.0, eps_sin=0.3, sigma_noise=0.4, seed=3),
-        make_logistic_family(n=4, d=4, K=5, m=12, shards_per_agent=2,
-                             lam=0.05, seed=19),
+        ("strongly-convex-quadratic",
+         make_strongly_convex_quadratics(**FAMILY_BLOCKS["strongly-convex-quadratic"])),
+        ("convex-quadratic", make_convex_quadratics(**FAMILY_BLOCKS["convex-quadratic"])),
+        ("nonconvex", make_nonconvex_family(**FAMILY_BLOCKS["nonconvex"])),
+        ("logistic", make_logistic_family(**FAMILY_BLOCKS["logistic"])),
     ]
 
 
@@ -74,14 +84,14 @@ def test_hand_quadratic_oracles():
 
 def test_homogeneous_single_agent_has_zero_G():
     p = DiagonalQuadraticProblem(np.array([[2.0, 0.5]]), np.array([[1.0, -1.0]]),
-                                 0.0, mu=0.5, L=2.0, family_tag="strongly-convex-quadratic")
+                                 0.0, mu=0.5, L=2.0)
     k = p.constants()
     assert k.G == pytest.approx(0.0, abs=1e-12)
     assert k.B >= 1.0
 
 
 def test_x_validation():
-    for p in all_test_problems():
+    for _, p in all_test_problems():
         with pytest.raises(ValueError):
             p.global_value(np.full(p.dim, np.nan))
         with pytest.raises(ValueError):
@@ -89,14 +99,14 @@ def test_x_validation():
 
 
 def test_constants_invariants_all_families():
-    for p in all_test_problems():
+    for family, p in all_test_problems():
         k = p.constants()
         assert isinstance(k, ProblemConstants)
         assert k.L >= k.mu >= 0
         assert k.B >= 1
         assert k.G >= 0
         assert k.sigma_sq >= 0
-        if p.family_tag == "nonconvex":
+        if family == "nonconvex":
             assert k.x_star is None and k.f_star is None and k.sigma_bar_sq is None
         else:
             assert k.sigma_bar_sq >= 0
@@ -106,7 +116,7 @@ def test_constants_invariants_all_families():
 
 
 def test_constants_cache_is_reused():
-    p = all_test_problems()[0]
+    _, p = all_test_problems()[0]
     assert p.constants() is p.constants()
 
 
@@ -122,9 +132,9 @@ def test_provenance_pinned_per_family():
         "logistic": {**analytic, **dict.fromkeys(("L", "sigma_bar_sq", "x_star", "f_star"),
                                                  "numeric")},
     }
-    for p in all_test_problems():
+    for family, p in all_test_problems():
         k = p.constants()
-        assert list(k.provenance.items()) == list(want[p.family_tag].items())
+        assert list(k.provenance.items()) == list(want[family].items())
         if k.f_star is not None:  # the default lower bound is f* itself
             assert p.value_lower_bound() == k.f_star
 
@@ -173,7 +183,7 @@ def test_convex_family_impossible_eps_raises():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
-    for p in all_test_problems():
+    for _, p in all_test_problems():
         X = rng.standard_normal((p.n, p.dim))  # a point of its own per agent
         G = p.grads(X)
         fd = fd_grad(p.values, X)
@@ -268,7 +278,7 @@ def test_stochastic_grad_unbiased_light():
     # heavyweight 1e5-draw check lives in acceptance
     rng = np.random.default_rng(123)
     N, S = 4000, 100
-    for p in all_test_problems():
+    for family, p in all_test_problems():
         X = at_every_agent(rng.standard_normal(p.dim) * 0.5, p.n)
         exact = p.grads(X)
         gens = [np.random.default_rng([123, s]) for s in range(S)]
@@ -277,7 +287,7 @@ def test_stochastic_grad_unbiased_light():
         dev = np.linalg.norm(draws.mean(axis=0) - exact, axis=1)
         second = np.mean(np.sum((draws - exact) ** 2, axis=2), axis=0)
         tol = 5 * np.sqrt(np.maximum(second, 1e-30) / N)
-        assert np.all(dev <= tol), f"{p.family_tag}: |mean - grad| = {dev} > {tol}"
+        assert np.all(dev <= tol), f"{family}: |mean - grad| = {dev} > {tol}"
 
 
 def test_logistic_stochastic_grad_enumerates_to_full_grad():
@@ -320,12 +330,12 @@ def test_nonconvex_bgd_identity_exact():
 
 def test_bgd_inequality_quadratics_and_logistic():
     rng = np.random.default_rng(4)
-    for p in all_test_problems():
+    for family, p in all_test_problems():
         k = p.constants()
         xs = rng.standard_normal((200, p.dim)) * rng.uniform(0.1, 3, size=(200, 1))
         lhs = np.mean(np.sum(p.grads(at_every_agent(xs, p.n)) ** 2, axis=2), axis=1)
         rhs = k.G**2 + k.B**2 * np.sum(p._global_grad(xs) ** 2, axis=1)
-        assert np.all(lhs <= rhs * (1 + 1e-9)), f"{p.family_tag}: {lhs} > {rhs}"
+        assert np.all(lhs <= rhs * (1 + 1e-9)), f"{family}: {lhs} > {rhs}"
 
 
 def _quadratic_pair_checks(p, n_pairs=10_000):
@@ -432,12 +442,16 @@ def test_logistic_shard_skew():
 
 
 def test_problem_from_spec_round_trip():
-    for p in all_test_problems():
-        q = problem_from_spec(p.spec)
-        assert q.family_tag == p.family_tag
+    assert set(FAMILY_BLOCKS) == set(MAKERS)
+    for family, p in all_test_problems():
+        q = problem_from_spec({"family": family, **FAMILY_BLOCKS[family]})
+        assert type(q) is type(p)
         assert q.n == p.n and q.dim == p.dim
         if isinstance(p, DiagonalQuadraticProblem):
             np.testing.assert_array_equal(q.q, p.q)
+            np.testing.assert_array_equal(q.c, p.c)
+        if isinstance(p, SinusoidQuadraticProblem):
+            np.testing.assert_array_equal(q.Q, p.Q)
             np.testing.assert_array_equal(q.c, p.c)
         if isinstance(p, LogisticProblem):
             np.testing.assert_array_equal(q.feats, p.feats)

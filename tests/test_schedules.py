@@ -181,16 +181,6 @@ def test_weighted_cubic_sum_rejects_nonpositive_beta():
         weighted_cubic_sum(Schedule((1,)), beta=0)
 
 
-def test_round_index():
-    s = Schedule((3, 2, 5))  # tau = (0, 3, 5, 10)
-    assert [s.round_index(t) for t in range(10)] == [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]
-    assert s.round_index(4) == 1
-    with pytest.raises(ValueError):
-        s.round_index(-1)
-    with pytest.raises(ValueError):
-        s.round_index(10)
-
-
 def test_fixed_schedule_locally_minimizes_cubic_sum():
     # moving one step between any pair of rounds never lowers sum H^3
     rng = np.random.default_rng(2)
