@@ -37,7 +37,7 @@ a stopped lane depends on which seeds share its call, not on which configs do.
 Recorded series (sampled at t = 0, the multiples of record_stride and t = T,
 and at every communication instant only for a config with record_comm or
 stop_below). A config computes only the series it names in RunConfig.series
-(all six by default); the others stay NaN, and one that names none copies no
+(all four by default); the others stay NaN, and one that names none copies no
 state at all. A record point only copies the (S, n, d) states of the configs
 that record there into a snapshot buffer of about 64 KiB; when the buffer
 fills, and once after the last step, the series the batch's configs name are
@@ -59,7 +59,7 @@ import math
 import os
 import signal
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,7 @@ _SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
 _NOISE_BYTES = 64 * 1024  # noise drawn ahead of the step loop, all seeds of a run of steps
 _NOISE_AHEAD = 4  # noise blocks the pipe from the noise child holds: how far it draws ahead
 _MEAN_SE_COLUMNS = 1024  # columns per _mean_se pass; bounds its lists of Python floats
-_SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
+_SERIES = ("r", "e", "V", "h")
 
 
 @dataclass(frozen=True)
@@ -274,13 +274,12 @@ class RunConfig:
 class RunMetrics:
     """Sampled trajectory of one seeded run.
 
-    dist_sq and ref_sq are diagnostics for the averaging identity
-    (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2 with ref = x* when the
-    family has one, else the origin. t holds the record points of RunConfig,
-    series the series the config computed; every other one is NaN. A lane
-    whose config stops (stop_below) ends at its crossing: t, is_comm and the
-    series end there, and final_x_bar is the mean iterate there. avg_h, the
-    running average of h over steps 0..T-1, is NaN unless track_averages.
+    t holds the record points of RunConfig, and r, e, V and h the series at
+    them; series names the ones the config computed, and every other one is
+    NaN. A lane whose config stops (stop_below) ends at its crossing: t,
+    is_comm and the series end there, and final_x_bar is the mean iterate
+    there. avg_h, the running average of h over steps 0..T-1, is NaN unless
+    track_averages.
     """
 
     seed: int
@@ -289,8 +288,6 @@ class RunMetrics:
     e: np.ndarray
     V: np.ndarray
     h: np.ndarray
-    dist_sq: np.ndarray
-    ref_sq: np.ndarray
     is_comm: np.ndarray
     final_x_bar: np.ndarray
     avg_h: float
@@ -321,9 +318,8 @@ class AggregateMetrics:
     mean_avg_h: float
     se_avg_h: float
     n_seeds: int
-    seeds: tuple = field(default_factory=tuple)
-    runs: tuple = field(default_factory=tuple)  # per-seed RunMetrics, ascending seed
-    diverged: tuple = field(default_factory=tuple)
+    runs: tuple  # per-seed RunMetrics, ascending seed
+    diverged: tuple
 
 
 class _Kahan:
@@ -359,10 +355,10 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     state that every step advances in one numpy pass. The configs must share
     n, x0, T and track_averages; they may differ in schedule, stepsize (each
     evaluated for all T steps up front), record_stride, record_comm, series
-    and stop_below, and each records at its own points (see RunConfig);
-    config.seed is ignored. Seed s's noise for step t is drawn once, from
-    its own (seed, t) stream, for every config, so a lane's metrics are
-    bitwise those of the one-config, one-seed batch.
+    and stop_below, and each records the series of _SERIES it names at its
+    own points (see RunConfig); config.seed is ignored. Seed s's noise for
+    step t is drawn once, from its own (seed, t) stream, for every config, so
+    a lane's metrics are bitwise those of the one-config, one-seed batch.
 
     A config with stop_below ends at the first record point, t = 0 or a
     communication instant, where the seed mean of its series (the mean
@@ -410,7 +406,6 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     x_star = consts.x_star
     f_star = consts.f_star
     have_star = x_star is not None
-    ref = x_star if have_star else np.zeros(problem.dim)
 
     comm = np.zeros((C, T + 1), dtype=bool)
     record = np.zeros((C, T + 1), dtype=bool)
@@ -508,11 +503,9 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         xbar = np.add.reduce(Xs, axis=2) / n  # ndarray.mean's bits, without its wrapper
         points = xbar.reshape(-1, d)
         out = {} if have_star else dict.fromkeys(("r", "e"), np.full((held, S), np.nan))
-        if "r" in need or "ref_sq" in need:
-            rv = xbar - ref
-            out["ref_sq"] = np.vecdot(rv, rv)
-            if have_star:
-                out["r"] = out["ref_sq"]
+        if "r" in need and have_star:
+            rv = xbar - x_star
+            out["r"] = np.vecdot(rv, rv)
         if "e" in need and have_star:
             out["e"] = (value(points) - f_star).reshape(held, S)
         if "V" in need:
@@ -521,9 +514,6 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         if "h" in need:
             g = grad(points)
             out["h"] = np.vecdot(g, g).reshape(held, S)
-        if "dist_sq" in need:
-            dref = Xs - ref
-            out["dist_sq"] = np.einsum("ksij,ksij->ks", dref, dref) / n
         vals = np.stack([out[name] for name in need])
         owner = np.concatenate(owners)
         stopped = False
@@ -666,8 +656,7 @@ def _divergence(runs) -> str:
     a tracked running average of h that is not finite."""
     if any(not np.all(np.isfinite(m.final_x_bar)) for m in runs):
         return "non-finite iterate"
-    overflowed = [name for name in ("r", "e", "V", "h")
-                  if any(name in m.series and np.isinf(getattr(m, name)).any() for m in runs)]
+    overflowed = [name for name in _SERIES if any(np.isinf(getattr(m, name)).any() for m in runs)]
     if overflowed:
         return f"{', '.join(overflowed)} overflowed"
     # h_t is finite until the run overflows, so a tracked avg_h is finite until then
@@ -683,7 +672,7 @@ def _aggregate(runs) -> AggregateMetrics:
     runs = sorted(runs, key=lambda m: m.seed)
     stats = {}
     unset = _unset(len(runs[0].t))
-    for name in ("r", "e", "V", "h"):
+    for name in _SERIES:
         stats[f"mean_{name}"], stats[f"se_{name}"] = (
             _mean_se(np.stack([getattr(m, name) for m in runs]))
             if name in runs[0].series else (unset, unset))
@@ -691,7 +680,7 @@ def _aggregate(runs) -> AggregateMetrics:
     return AggregateMetrics(
         t=runs[0].t.copy(), is_comm=runs[0].is_comm.copy(), **stats,
         mean_avg_h=float(mean_avg_h), se_avg_h=float(se_avg_h),
-        n_seeds=len(runs), seeds=tuple(m.seed for m in runs), runs=tuple(runs),
+        n_seeds=len(runs), runs=tuple(runs),
         diverged=tuple(m.seed for m in runs if _divergence([m])),
     )
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from .bounds import BoundReport, compare, thm1_rhs, thm2_rhs, thm3_rhs
 from .engine import (
+    _SERIES,
     AggregateMetrics,
     ConstantStepsize,
     InverseTimeStepsize,
@@ -58,9 +59,6 @@ from .schedules import (
     check_thm3_condition,
     schedule_from_spec,
 )
-
-
-_WRITTEN = ("r", "e", "V", "h")  # the series metrics.csv and convergence.csv write
 
 
 class DivergenceError(ArithmeticError):
@@ -190,6 +188,8 @@ class ExperimentSpec:
             raise ValueError("threshold must be positive")
         if self.threshold_auto_factor is not None and self.threshold_auto_factor <= 0:
             raise ValueError("threshold factor must be positive")
+        if self.threshold is not None and self.threshold_auto_factor is not None:
+            raise ValueError("give threshold or threshold_auto_factor, not both")
         if self.measure not in ("r", "e", "h"):
             raise ValueError(f"measure must be r, e or h, got {self.measure!r}")
 
@@ -329,7 +329,7 @@ def run_bounds_experiment(problem: Problem, spec: ExperimentSpec) -> tuple[Bound
 
     [agg] = _simulate(problem, [(sched, stepsize)], spec.seeds,
                       record_stride=spec.record_stride if thm == 1 else 1,
-                      track_averages=False, names=["schedule"], series=_WRITTEN, record_comm=True)
+                      track_averages=False, names=["schedule"], series=_SERIES, record_comm=True)
     r0 = None if consts.x_star is None else float(np.sum((x0 - consts.x_star) ** 2))
     if thm == 1:
         rhs = thm1_rhs(sched, r0=r0, beta=beta, n=n, mu=consts.mu,
@@ -451,5 +451,5 @@ def run_strategy_compare(problem: Problem, spec: ExperimentSpec) -> dict[str, Ag
     runs = [(cell.build(problem.n, spec.T)[0], stepsize) for cell in spec.cells]
     aggs = _simulate(problem, runs, spec.seeds, record_stride=spec.record_stride,
                      track_averages=False, names=[f"cell {cell.label}" for cell in spec.cells],
-                     series=_WRITTEN, record_comm=True)
+                     series=_SERIES, record_comm=True)
     return {cell.label: agg for cell, agg in zip(spec.cells, aggs)}

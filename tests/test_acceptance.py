@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from test_engine import assert_series_bitwise, per_record_series
 
 from localsgd_lab import cli
 from localsgd_lab.engine import (
@@ -224,17 +225,23 @@ def test_ac6_reset_and_decomposition_identity():
             step = InverseTimeStepsize(mu, 20.0 * prob.constants().L / mu)
         else:
             step = ConstantStepsize(float(rng.uniform(0.3, 1.0)), n, T)
-        m = run_local_sgd(prob, RunConfig(
+        config = RunConfig(
             n=n, schedule=sched, stepsize=step,
             x0=rng.standard_normal(prob.dim) * 0.5,
-            seed=int(rng.integers(0, 2**31)), record_stride=1))
+            seed=int(rng.integers(0, 2**31)), record_stride=1)
+        m = run_local_sgd(prob, config)
+        # the identity's two sides come from the reference simulation, whose
+        # V and r the engine's run matches bitwise
+        ref = per_record_series(prob, config, [config.seed])
+        assert_series_bitwise([m], ref)
+        dist_sq, V, ref_sq = ref["dist_sq"][0], ref["V"][0], ref["ref_sq"][0]
         comm = m.is_comm.astype(bool)
         assert comm.any()
-        scale = np.maximum(m.dist_sq[comm], 1e-30)
-        worst_reset = max(worst_reset, float(np.max(m.V[comm] / scale)))
-        ident = np.abs(m.dist_sq - (m.V + m.ref_sq))
+        scale = np.maximum(dist_sq[comm], 1e-30)
+        worst_reset = max(worst_reset, float(np.max(V[comm] / scale)))
+        ident = np.abs(dist_sq - (V + ref_sq))
         worst_ident = max(worst_ident, float(
-            np.max(ident / np.maximum(m.dist_sq, 1e-12))))
+            np.max(ident / np.maximum(dist_sq, 1e-12))))
     ok = worst_reset <= 1e-12 and worst_ident <= 1e-9
     _verdict("AC6", ok,
              f"20 random configs: consensus error at averaging instants "

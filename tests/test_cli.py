@@ -886,6 +886,18 @@ def test_run_exit2_on_repeated_cell_label(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_run_exit2_on_both_thresholds(tmp_path, capsys, monkeypatch):
+    # an explicit threshold used to win silently over threshold_auto_factor
+    monkeypatch.setattr(localsgd_lab.harness, "run_cells", lambda *args: pytest.fail("simulated"))
+    cfg = copy.deepcopy(PINNED_MULTI_CELL["rounds-to-target"][0])
+    cfg["experiment"]["threshold"] = 1e-3
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "invalid config: give threshold or threshold_auto_factor, not both\n"
+    assert not out.exists()
+
+
 def test_run_speedup_csv_layout(tmp_path, capsys):
     cfg = speedup_cfg(tmp_path / "res")
     assert main(["run", write_cfg(tmp_path, cfg)]) == 0

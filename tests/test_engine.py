@@ -153,14 +153,18 @@ def test_noise_is_pure_in_seed_agent_step():
 def test_consensus_reset_and_identity():
     p = noisy_problem(n=6, d=4, sigma=1.0, seed=2)
     sched = increasing_power_schedule(1, 1, 40)
-    m = run_local_sgd(p, cfg(p, sched, InverseTimeStepsize(0.2, 30.0), seed=9))
+    config = cfg(p, sched, InverseTimeStepsize(0.2, 30.0), seed=9)
+    m = run_local_sgd(p, config)
+    ref = per_record_series(p, config, [9])
+    assert_series_bitwise([m], ref)
     comm_rows = m.is_comm
     assert comm_rows.sum() == sched.R
     assert np.all(m.V[comm_rows] <= 1e-12)
-    # (1/n) sum ||x_i - ref||^2 = V + ||xbar - ref||^2 at every recorded t
-    np.testing.assert_allclose(m.dist_sq, m.V + m.ref_sq, rtol=1e-9, atol=1e-12)
+    # (1/n) sum ||x_i - ref||^2 = V + ||xbar - ref||^2 at every recorded t,
+    # on the reference's states, whose V and r the run matches bitwise
+    np.testing.assert_allclose(ref["dist_sq"], ref["V"] + ref["ref_sq"], rtol=1e-9, atol=1e-12)
     # with x* known, ref_sq is exactly the recorded r
-    np.testing.assert_array_equal(m.r, m.ref_sq)
+    np.testing.assert_array_equal(m.r, ref["ref_sq"][0])
 
 
 def test_exactly_R_averaging_events():
@@ -175,11 +179,14 @@ def test_exactly_R_averaging_events():
 def test_nonconvex_metrics_are_nan_where_undefined():
     p = make_nonconvex_family(n=3, d=4, Q_diag=np.full(4, 0.5), delta=1.0,
                               eps_sin=0.2, sigma_noise=0.5, seed=4)
-    m = run_local_sgd(p, cfg(p, fixed_schedule(20, 4), ConstantStepsize(0.5, 3, 20), seed=2))
+    config = cfg(p, fixed_schedule(20, 4), ConstantStepsize(0.5, 3, 20), seed=2)
+    m = run_local_sgd(p, config)
     assert np.all(np.isnan(m.r)) and np.all(np.isnan(m.e))
     assert np.all(np.isfinite(m.V)) and np.all(np.isfinite(m.h))
     assert math.isfinite(m.avg_h)
-    np.testing.assert_allclose(m.dist_sq, m.V + m.ref_sq, rtol=1e-9, atol=1e-12)
+    ref = per_record_series(p, config, [2])
+    assert_series_bitwise([m], ref)
+    np.testing.assert_allclose(ref["dist_sq"], ref["V"] + ref["ref_sq"], rtol=1e-9, atol=1e-12)
 
 
 def test_time_averages_match_recorded_series():
@@ -203,7 +210,7 @@ def test_logistic_runs_deterministically():
     assert np.all(np.isfinite(a.r))
 
 
-RUN_FIELDS = ("t", "r", "e", "V", "h", "dist_sq", "ref_sq", "is_comm", "final_x_bar")
+RUN_FIELDS = ("t", "r", "e", "V", "h", "is_comm", "final_x_bar")
 
 
 def assert_runs_bitwise_equal(a, b):
@@ -237,7 +244,7 @@ def test_run_many_aggregation_is_seed_order_invariant():
     rev = run_many(p, config, [4, 3, 2, 1, 0])
     np.testing.assert_array_equal(fwd.mean_r, rev.mean_r)
     np.testing.assert_array_equal(fwd.se_r, rev.se_r)
-    assert fwd.seeds == rev.seeds == (0, 1, 2, 3, 4)
+    assert [m.seed for m in fwd.runs] == [m.seed for m in rev.runs] == [0, 1, 2, 3, 4]
     # manual check at the final timestamp
     runs = sorted(run_batch(p, config, [0, 1, 2, 3, 4]), key=lambda m: m.seed)
     finals = [m.r[-1] for m in runs]
@@ -310,7 +317,8 @@ def test_diverging_run_aggregates_to_non_finite_means():
                         replace(m, r=inf)]) == "r, h overflowed"
     assert _divergence([replace(m, r=inf), replace(m, final_x_bar=m.final_x_bar * math.nan)]) \
         == "non-finite iterate"
-    assert _divergence([replace(m, r=inf, series=("e",))]) == ""
+    # a series the run did not compute is NaN, which never counts as overflowed
+    assert _divergence([replace(m, r=np.full_like(m.r, math.nan), series=("e",))]) == ""
 
 
 def _family(name, n, d, seed):
@@ -371,7 +379,8 @@ def test_batch_equals_one_seed_runs(case, problem_seed):
 def test_averaging_identities_hold_on_every_lane(case, problem_seed):
     # (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2 at every record point;
     # at a communication instant every agent holds the average m, so V is only
-    # the rounding of xbar, at most (n eps)^2 ||m||^2 <= (n eps)^2 2 (dist_sq + ||ref||^2)
+    # the rounding of xbar, at most (n eps)^2 ||m||^2 <= (n eps)^2 2 (dist_sq + ||ref||^2).
+    # Both are checked on the reference's states, which every lane matches bitwise.
     family, n, d, cells, track, seeds, _ = case
     p = _family(family, n, d, problem_seed)
     x_star = p.constants().x_star
@@ -380,15 +389,17 @@ def test_averaging_identities_hold_on_every_lane(case, problem_seed):
                for sched, stride, step in cells]
     residue = (4 * n * np.finfo(float).eps) ** 2
     for config, lanes in zip(configs, run_cells(p, configs, seeds)):
-        for m in lanes:
-            assert np.all(np.isfinite(m.dist_sq))
-            np.testing.assert_allclose(m.dist_sq, m.V + m.ref_sq, rtol=1e-9, atol=0)
+        ref = per_record_series(p, config, seeds)
+        assert_series_bitwise(lanes, ref)
+        for m, dist_sq, V, ref_sq in zip(lanes, ref["dist_sq"], ref["V"], ref["ref_sq"]):
+            assert np.all(np.isfinite(dist_sq))
+            np.testing.assert_allclose(dist_sq, V + ref_sq, rtol=1e-9, atol=0)
             comm = m.is_comm
             assert comm.sum() == config.schedule.R
-            assert np.all(m.V[comm] <= residue * 2 * (m.dist_sq[comm] + ref_norm_sq))
+            assert np.all(V[comm] <= residue * 2 * (dist_sq[comm] + ref_norm_sq))
 
 
-SERIES = ("r", "e", "V", "h", "dist_sq", "ref_sq")
+SERIES = ("r", "e", "V", "h")
 
 
 def per_record_series(p, config, seeds):
@@ -396,6 +407,9 @@ def per_record_series(p, config, seeds):
 
     The formulas are those of a per-record evaluation on the (S, n, d) state,
     written out here so the chunked snapshot pass has a reference to match.
+    Besides SERIES it returns two diagnostics of the averaging identity
+    (1/n) sum_i ||x_i - ref||^2 = V + ||xbar - ref||^2, with ref = x* when the
+    family has one, else the origin: dist_sq, the left side, and ref_sq.
     """
     S, n, T = len(seeds), p.n, config.schedule.T
     consts = p.constants()
@@ -404,7 +418,7 @@ def per_record_series(p, config, seeds):
     comm = set(config.schedule.tau[1:])
     # the communication instants the config records: all of them, or none
     comm_records = comm if config.record_comm or config.stop_below is not None else set()
-    out = {name: [] for name in SERIES}
+    out = {name: [] for name in (*SERIES, "dist_sq", "ref_sq")}
     X = np.tile(config.x0, (S, n, 1))
 
     def record():

@@ -101,6 +101,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(**{**ok, "n_list": (2, 2, 4)})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "threshold": 0.0})
+    with pytest.raises(ValueError, match="not both"):
+        ExperimentSpec(**{**ok, "threshold": 1.0, "threshold_auto_factor": 10.0})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "measure": "q"})
 
