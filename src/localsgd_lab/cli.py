@@ -31,13 +31,13 @@ import math
 import re
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .engine import NoiseDrawError, _forked
+from .engine import _SERIES, NoiseDrawError, _forked
 from .harness import (
     ExperimentSpec,
     PreconditionError,
@@ -66,7 +66,8 @@ _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _WIDTHS = {"type": "array", "items": _POS_INT, "minItems": 1}
 # what a schedule block and a strategy cell spell alike
-_SCHEDULE_PARAMS = {"a": _POS_NUM, "s": _NUM, "p": _NUM, "R": _POS_INT}
+_SCHEDULE_PARAMS = {"a": _POS_NUM, "s": _NUM, "p": _NUM, "R": _POS_INT,
+                    "H": {"anyOf": [_POS_INT, _WIDTHS]}}
 
 _CELL_SCHEMA = {
     "type": "object",
@@ -76,14 +77,12 @@ _CELL_SCHEMA = {
         "label": {"type": "string", "pattern": "^[A-Za-z0-9_-]+$"},
         "kind": {"enum": list(STRATEGIES)},
         **_SCHEDULE_PARAMS,
-        "H": _POS_INT,
         "r_rule": {
             "type": "object",
             "additionalProperties": False,
             "required": ["coef", "T_exp", "n_exp"],
             "properties": {"coef": _POS_NUM, "T_exp": _NUM, "n_exp": _NUM},
         },
-        "explicit_H": _WIDTHS,
     },
 }
 
@@ -140,7 +139,6 @@ CONFIG_SCHEMA = {
                 "strategy": {"enum": list(STRATEGIES)},
                 **_SCHEDULE_PARAMS,
                 "T": _POS_INT,
-                "H": {"anyOf": [_POS_INT, _WIDTHS]},
             },
         },
         "stepsize": {
@@ -346,38 +344,27 @@ def resolve_seeds(block, offset: int = 0) -> tuple[int, ...]:
 
 def _cell_from_config(block: dict) -> StrategyCell:
     kwargs = dict(block)
-    rule = kwargs.pop("r_rule", None)
-    if rule is not None:
-        kwargs["r_rule"] = RRule(rule["coef"], rule["T_exp"], rule["n_exp"])
-    if "explicit_H" in kwargs:
-        kwargs["explicit_H"] = tuple(kwargs["explicit_H"])
+    if "r_rule" in kwargs:
+        kwargs["r_rule"] = RRule(**kwargs["r_rule"])
+    if isinstance(kwargs.get("H"), list):
+        kwargs["H"] = tuple(kwargs["H"])
     return StrategyCell(**kwargs)
 
 
 def spec_from_config(cfg: dict, seed_offset: int = 0) -> ExperimentSpec:
-    exp = cfg["experiment"]
-    step = cfg.get("stepsize", {})
-    c = step.get("c")
-    if isinstance(c, list):
-        c = tuple(c)
-    return ExperimentSpec(
-        kind=exp["kind"],
-        problem=cfg["problem"],
-        seeds=resolve_seeds(cfg["seeds"], seed_offset),
-        stepsize_policy=step.get("policy", "constant"),
-        beta=step.get("beta"),
-        c=c,
-        theorem=exp.get("theorem"),
-        schedule_spec=cfg.get("schedule"),
-        record_stride=exp.get("record_stride", 1),
-        cells=tuple(_cell_from_config(b) for b in exp.get("cells", [])),
-        n_list=tuple(exp.get("n_list", [])),
-        T=exp.get("T"),
-        t_max=exp.get("t_max"),
-        threshold=exp.get("threshold"),
-        threshold_auto_factor=exp.get("threshold_auto_factor"),
-        measure=exp.get("measure", "e"),
-    )
+    """The ExperimentSpec of a validated config: each experiment-block key sets
+    the field of its name (cells as StrategyCells) and one left out keeps its
+    default; the problem, seeds, schedule and stepsize blocks set theirs."""
+    exp = dict(cfg["experiment"])
+    if "cells" in exp:
+        exp["cells"] = tuple(map(_cell_from_config, exp["cells"]))
+    # the stepsize block's policy is the stepsize_policy field; a swept c is a tuple
+    step = {"stepsize_policy" if key == "policy" else key:
+            tuple(value) if isinstance(value, list) else value
+            for key, value in cfg.get("stepsize", {}).items()}
+    return ExperimentSpec(**exp, **step, problem=cfg["problem"],
+                          seeds=resolve_seeds(cfg["seeds"], seed_offset),
+                          schedule_spec=cfg.get("schedule"))
 
 
 def _fmt(v) -> str:
@@ -461,8 +448,9 @@ def _write_blocks(path: Path, header: list[str], blocks):
 def write_metrics_csv(path: Path, agg):
     # the runs of one config share t and is_comm: format them once
     t, is_comm = _cells(agg.t), _cells(agg.is_comm)
-    _write_blocks(path, ["seed", "t", "r", "e", "V", "h", "is_comm_round"],
-                  ((run.seed, (t, run.r, run.e, run.V, run.h, is_comm)) for run in agg.runs))
+    _write_blocks(path, ["seed", "t", *_SERIES, "is_comm_round"],
+                  ((run.seed, (t, *(getattr(run, name) for name in _SERIES), is_comm))
+                   for run in agg.runs))
 
 
 def write_bounds_csv(path: Path, rep):
@@ -478,24 +466,17 @@ def write_bounds_csv(path: Path, rep):
     _write_csv(path, ["theorem", "field", "value"], rows)
 
 
-def write_speedup_csv(path: Path, rows):
-    _write_csv(path, ["label", "n", "R", "strategy", "mean_error", "stderr",
-                      "speedup", "se_speedup", "clamped"],
-               [(r.label, r.n, r.R, r.strategy, r.mean_error, r.stderr,
-                 r.speedup, r.se_speedup, r.clamped) for r in rows])
-
-
-def write_tradeoff_csv(path: Path, rows):
-    _write_csv(path, ["label", "R_used", "T_used", "reached", "threshold"],
-               [(r.label, r.R_used, r.T_used, r.reached, r.threshold)
-                for r in rows])
+def write_rows_csv(path: Path, rows):
+    """speedup.csv or tradeoff.csv: one line per SpeedupRow or TradeoffRow,
+    whose field names, in order, are the header."""
+    header = [field.name for field in fields(rows[0])]
+    _write_csv(path, header, ([getattr(row, name) for name in header] for row in rows))
 
 
 def write_convergence_csv(path: Path, by_label: dict):
-    _write_blocks(path, ["label", "t", "mean_r", "se_r", "mean_e", "se_e",
-                         "mean_V", "se_V", "mean_h", "se_h"],
-                  ((label, (agg.t, agg.mean_r, agg.se_r, agg.mean_e, agg.se_e,
-                            agg.mean_V, agg.se_V, agg.mean_h, agg.se_h))
+    stats = [f"{stat}_{name}" for name in _SERIES for stat in ("mean", "se")]
+    _write_blocks(path, ["label", "t", *stats],
+                  ((label, (agg.t, *(getattr(agg, stat) for stat in stats)))
                    for label, agg in by_label.items()))
 
 
@@ -528,8 +509,9 @@ def _check_outdir(outdir: Path):
 
 def cmd_run(args) -> int:
     """Exit 2 for a config that cannot be loaded or built, whose output path
-    runs through a file, or that the harness rejects with ValueError; a
-    KeyError or TypeError raised past construction is a bug and propagates
+    runs through a file, or that the harness rejects with ValueError (a
+    ConfigError is one); any other exception, such as a KeyError or TypeError
+    while the config is built or the experiment runs, is a bug and propagates
     with its traceback."""
     try:
         cfg = load_config(args.config)
@@ -538,7 +520,7 @@ def cmd_run(args) -> int:
         _check_outdir(outdir)
         # speedup builds one problem per n itself
         problem = None if spec.kind == "speedup" else problem_from_spec(cfg["problem"])
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -557,14 +539,14 @@ def cmd_run(args) -> int:
                 extra["beta"] = thm1_beta(spec, consts.mu, consts.L)
         elif spec.kind == "rounds-to-target":
             rows = run_rounds_to_target(problem, spec)
-            files = {"tradeoff.csv": (write_tradeoff_csv, rows)}
+            files = {"tradeoff.csv": (write_rows_csv, rows)}
             extra = {
                 "threshold": rows[0].threshold,
                 "measure": spec.measure,
             }
         elif spec.kind == "speedup":
             rows, notes = run_speedup_experiment(spec)
-            files = {"speedup.csv": (write_speedup_csv, rows)}
+            files = {"speedup.csv": (write_rows_csv, rows)}
             extra = {"notes": notes}
         else:
             by_label = run_strategy_compare(problem, spec)

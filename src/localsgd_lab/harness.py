@@ -89,10 +89,10 @@ class StrategyCell:
     """One labeled schedule strategy inside a multi-cell experiment.
 
     kind is any name of schedules.STRATEGIES, and the fields are that
-    strategy's parameters; explicit_H is the widths H of an explicit cell,
-    while H is the one width of a fixed-width cell. T comes from the
-    experiment. A strategy that takes R gets it from R or, failing that, from
-    r_rule at the experiment's n.
+    strategy's parameters, spelled as a schedule block spells them: H is the
+    widths of an explicit cell and the one width of a fixed-width cell. T
+    comes from the experiment. A strategy that takes R gets it from R or,
+    failing that, from r_rule at the experiment's n.
     """
 
     label: str
@@ -100,10 +100,9 @@ class StrategyCell:
     a: float | None = None
     s: float | None = None
     p: float | None = None
-    H: int | None = None
+    H: int | tuple[int, ...] | None = None
     R: int | None = None
     r_rule: RRule | None = None
-    explicit_H: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not self.label or not all(ch.isalnum() or ch in "_-" for ch in self.label):
@@ -115,10 +114,9 @@ class StrategyCell:
         takes = STRATEGIES[self.kind][1] if self.kind in STRATEGIES else ()
         if R is None and self.r_rule is not None and "R" in takes:
             R, clamped = self.r_rule.rounds(n, T)
-        H = self.explicit_H if self.kind == "explicit" else self.H
         try:
             sched = schedule_from_spec({"strategy": self.kind, "T": T, "R": R, "a": self.a,
-                                        "s": self.s, "p": self.p, "H": H})
+                                        "s": self.s, "p": self.p, "H": self.H})
         except ValueError as exc:
             raise ValueError(f"cell {self.label}: {exc}") from None
         return sched, clamped

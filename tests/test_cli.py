@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import dataclasses
 import errno
 import hashlib
 import json
@@ -30,7 +31,7 @@ from localsgd_lab.cli import (
     resolve_seeds,
     spec_from_config,
 )
-from localsgd_lab.harness import RRule
+from localsgd_lab.harness import ExperimentSpec, RRule, StrategyCell
 from localsgd_lab.objectives import (
     MAKERS,
     DiagonalQuadraticProblem,
@@ -112,7 +113,7 @@ def test_spec_from_config_builds_cells(tmp_path):
                                   "r_rule": {"coef": 0.2, "T_exp": 0.75,
                                              "n_exp": 0.75}},
                                  {"label": "x", "kind": "explicit",
-                                  "explicit_H": [50, 50]}]},
+                                  "H": [50, 50]}]},
         "problem": {"family": "strongly-convex-quadratic", "n": 1, "d": 4,
                     "mu": 0.5, "L": 2.0, "delta": 1.0, "sigma_noise": 1.0,
                     "seed": 7},
@@ -121,9 +122,47 @@ def test_spec_from_config_builds_cells(tmp_path):
     }
     spec = spec_from_config(cfg)
     assert spec.cells[0].r_rule == RRule(0.2, 0.75, 0.75)
-    assert spec.cells[1].explicit_H == (50, 50)
+    assert spec.cells[1].H == (50, 50)
     assert spec.c == (0.1, 0.5)
     assert spec.n_list == (1, 2)
+
+
+def test_config_keys_are_stated_once(tmp_path):
+    # the experiment block passes through to ExperimentSpec, a cell's keys are
+    # StrategyCell's fields, and a cell spells a schedule as a schedule block does
+    experiment = CONFIG_SCHEMA["properties"]["experiment"]["properties"]
+    cell = experiment["cells"]["items"]["properties"]
+    block = CONFIG_SCHEMA["properties"]["schedule"]["properties"]
+    spec_fields = dataclasses.fields(ExperimentSpec)
+    assert set(experiment) <= {field.name for field in spec_fields}
+    assert set(cell) == {field.name for field in dataclasses.fields(StrategyCell)}
+    shared = set(block) - {"strategy", "T"}
+    assert shared == set(cell) - {"label", "kind", "r_rule"}
+    assert all(cell[key] is block[key] for key in shared)
+
+    cfg = {"experiment": {"kind": "bounds"}, "problem": QUADRATIC, "seeds": [3]}
+    spec = spec_from_config(load_config(write_cfg(tmp_path, cfg)))
+    assert (spec.kind, spec.problem, spec.seeds) == ("bounds", QUADRATIC, (3,))
+    for field in spec_fields:
+        if field.name not in ("kind", "problem", "seeds"):
+            assert getattr(spec, field.name) == field.default, field.name
+
+
+def test_run_refuses_a_cell_spelling_explicit_H(tmp_path, capsys):
+    # a cell spells the widths of explicit as a schedule block does, as H
+    cfg = {"experiment": {"kind": "strategy-compare", "T": 20,
+                          "cells": [{"label": "x", "kind": "explicit", "explicit_H": [10, 10]}]},
+           "problem": QUADRATIC, "stepsize": {"policy": "inverse-time", "beta": 80.0},
+           "seeds": [0]}
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid config: config schema violation at $.experiment.cells[0]: "
+        "Additional properties are not allowed ('explicit_H' was unexpected)\n")
+    assert not out.exists()
+    cfg["experiment"]["cells"][0]["H"] = cfg["experiment"]["cells"][0].pop("explicit_H")
+    assert main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "cells" / "x" / "metrics.csv").exists()
 
 
 def test_run_bounds_writes_results(tmp_path, capsys):
@@ -256,14 +295,20 @@ def test_run_exit2_on_missing_or_mismatched_stepsize(tmp_path, capsys, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("error", ["KeyError", "TypeError"])
-def test_run_internal_error_is_not_invalid_config(tmp_path, error):
-    # a bug inside the harness keeps its traceback instead of exit 2 "invalid config"
+@pytest.mark.parametrize("where, error", [
+    ("run_bounds_experiment", "KeyError"),
+    ("run_bounds_experiment", "TypeError"),
+    ("problem_from_spec", "KeyError"),
+    ("problem_from_spec", "TypeError"),
+], ids=["KeyError", "TypeError", "building-KeyError", "building-TypeError"])
+def test_run_internal_error_is_not_invalid_config(tmp_path, where, error):
+    # a bug inside the harness, or while the config is built, keeps its
+    # traceback instead of exit 2 "invalid config"
     script = ("import sys\n"
               "from localsgd_lab import cli\n"
-              "def broken(problem, spec):\n"
+              "def broken(*args):\n"
               f"    raise {error}('internal')\n"
-              "cli.run_bounds_experiment = broken\n"
+              f"cli.{where} = broken\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     src = str(Path(localsgd_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -274,6 +319,7 @@ def test_run_internal_error_is_not_invalid_config(tmp_path, error):
     assert proc.returncode not in (0, 2)
     assert "invalid config" not in proc.stderr
     assert "Traceback" in proc.stderr and f"{error}: " in proc.stderr
+    assert not (tmp_path / "res").exists()
 
 
 # sha256 of the CSVs these configs wrote before the metric pass moved off the
@@ -365,7 +411,7 @@ PINNED_MULTI_CELL = {
                                   {"label": "downRule", "kind": "decreasing-rounds", "p": 1.5,
                                    "r_rule": {"coef": 0.25, "T_exp": 0.75, "n_exp": 0.5}},
                                   {"label": "list", "kind": "explicit",
-                                   "explicit_H": [2, 3, 5, 8, 13, 21, 34, 34]}]},
+                                   "H": [2, 3, 5, 8, 13, 21, 34, 34]}]},
          "problem": QUADRATIC,
          "stepsize": {"policy": "inverse-time", "beta": 80.0},
          "seeds": [9, 4]},
@@ -385,7 +431,7 @@ PINNED_SPEEDUP = (
                               {"label": "up", "kind": "increasing-rounds",
                                "r_rule": {"coef": 1.0, "T_exp": 0.5, "n_exp": 0.5}},
                               {"label": "down", "kind": "decreasing-rounds", "R": 5},
-                              {"label": "list", "kind": "explicit", "explicit_H": [10] * 10}]},
+                              {"label": "list", "kind": "explicit", "H": [10] * 10}]},
      "problem": {**QUADRATIC, "n": 1},
      "stepsize": {"policy": "constant", "c": 0.5},
      "seeds": {"count": 3}},

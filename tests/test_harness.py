@@ -63,7 +63,7 @@ def test_cell_builds():
     assert dec.H == (6, 4, 2)
     inc = StrategyCell(label="e", kind="increasing-rounds", R=3, p=1.0).build(1, 12)[0]
     assert inc.H == (2, 4, 6)
-    exp = StrategyCell(label="f", kind="explicit", explicit_H=(2, 8)).build(1, 10)[0]
+    exp = StrategyCell(label="f", kind="explicit", H=(2, 8)).build(1, 10)[0]
     assert exp.H == (2, 8)
 
 
@@ -77,7 +77,7 @@ def test_cell_validation():
     with pytest.raises(ValueError):
         StrategyCell(label="x", kind="increasing-power", a=1.0).build(1, 10)
     with pytest.raises(ValueError):
-        StrategyCell(label="x", kind="explicit", explicit_H=(2, 3)).build(1, 10)
+        StrategyCell(label="x", kind="explicit", H=(2, 3)).build(1, 10)
     with pytest.raises(ValueError):
         StrategyCell(label="x", kind="fixed", R=20).build(1, 10)
     with pytest.raises(ValueError):

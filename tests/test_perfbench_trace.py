@@ -5,7 +5,8 @@ the untraced repeat's, whose run raises, or whose work counts differ from the
 first traced repeat's. So a change fails the benchmark when it removes a name
 the tracer's hooks read (the run_many hook reads AggregateMetrics.n_seeds) or
 makes a counted call depend on timing. This test makes the same checks at
-benchmark seed 1, importing perfbench/'s modules without changing them.
+benchmark seed 1, importing perfbench/'s modules without changing them, and
+checks that the hooks see every output file's writer.
 """
 
 import importlib.util
@@ -54,3 +55,8 @@ def test_traced_runs_write_the_plain_bytes_and_repeat_their_counts(tmp_path, nam
         spans, counts = tr.tables()
         tables.append(({key: row[0] for key, row in spans.items()}, counts))
     assert tables[0] == tables[1]
+    # every writer is hooked: one cli.write call per output file, and the
+    # config is loaded and built once each
+    calls = tables[0][0]
+    assert calls["cli.write"] == len(plain)
+    assert calls["cli.config"] == 2

@@ -244,17 +244,28 @@ def test_every_strategy_fills_T_with_rounds_of_at_least_one(data, name):
         assert schedule_from_spec({"strategy": name, **params, "p": DEFAULTS["p"]}) == sched
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), T=st.integers(1, 300))
+def test_fixed_schedule_has_the_least_cubic_sum_of_every_R_round_schedule(data, T):
+    # the paper's converse claim at the bound level: sum H^3, the schedule cost
+    # of the constant-stepsize bounds, is least at equal widths among all the
+    # R-round schedules of T (the power-mean inequality, with integer widths)
+    R = data.draw(st.integers(1, T), label="R")
+    cuts = sorted(data.draw(st.permutations(range(1, T)), label="order")[:R - 1])
+    other = schedule_from_spec({"strategy": "explicit",
+                                "H": [b - a for a, b in zip([0, *cuts], [*cuts, T])]})
+    assert (other.R, other.T) == (R, T)
+    assert cubic_sum(fixed_schedule(T, R)) <= cubic_sum(other)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), name=st.sampled_from(list(STRATEGIES)))
 def test_block_cell_and_cli_build_the_same_schedule(data, name):
     params = {k: v for k, v in data.draw(schedule_params(name)).items() if v is not None}
     block = {"strategy": name, **params}
     jsonschema.validate(block, CONFIG_SCHEMA["properties"]["schedule"])
-    explicit = STRATEGIES[name] is STRATEGIES["explicit"]
     cell = {"label": "c", "kind": name, **params}
     cell.pop("T", None)
-    if explicit:
-        cell["explicit_H"] = cell.pop("H")
     jsonschema.validate(cell, CONFIG_SCHEMA["properties"]["experiment"]["properties"]["cells"]["items"])
     argv = ["schedule", name]
     for key, value in params.items():
