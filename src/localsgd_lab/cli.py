@@ -6,9 +6,10 @@ Three subcommands:
   schedule  build and inspect one communication schedule
   plotdata  turn result CSVs into whitespace .dat files for gnuplot
 
-Exit codes: 0 ok, 2 invalid input (JSON, schema, parameter, or output path), 3 theorem
-precondition refusal, 4 numerical failure (a simulated run diverged, or a numeric
-constant did not converge), 5 the noise child process failed.
+Exit codes: 0 ok, 1 stdout closed before all output was written (as `localsgd
+schedule ... | head` does), 2 invalid input (JSON, schema, parameter, or output
+path), 3 theorem precondition refusal, 4 numerical failure (a simulated run
+diverged, or a numeric constant did not converge), 5 the noise child process failed.
 Runs are deterministic: the same config produces byte-identical CSVs, and the
 engine's batches are partition invariant, so the bytes do not depend on
 which seeds and cells are simulated together. A large per-seed or per-label
@@ -28,6 +29,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 import shutil
 import sys
@@ -709,7 +711,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader closed early, as `| head` does
+        # point stdout at devnull, so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

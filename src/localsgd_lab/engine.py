@@ -15,8 +15,8 @@ holding every seed's noise for a run of steps, and each step hands its
 (S, ...) row to stochastic_grads for every config, which writes the step's
 gradients into one buffer the batch holds. The process that runs the
 step loop draws the first block. When a run has a second block, a child
-process forked at its start draws the rest into one pipe that holds a few
-blocks while the loop steps; a one-block run forks no child, and on one CPU,
+process forked at its start draws the rest into one pipe while the loop
+steps; a one-block run forks no child, and on one CPU,
 without os.fork or when the fork fails, the loop's process draws every block
 itself. _forked holds that policy, and the CLI's forked CSV formatter uses it
 too. The child makes the same draws on the same generators. So a lane's
@@ -68,7 +68,6 @@ from .schedules import Schedule
 
 _SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
 _NOISE_BYTES = 64 * 1024  # noise drawn ahead of the step loop, all seeds of a run of steps
-_NOISE_AHEAD = 4  # noise blocks the pipe from the noise child holds: how far it draws ahead
 _MEAN_SE_COLUMNS = 1024  # columns per _mean_se pass; bounds its lists of Python floats
 _SERIES = ("r", "e", "V", "h")
 
@@ -187,8 +186,7 @@ def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
     """Yield the (k, S, ...) noise of steps [t, t + steps), for t = 0, steps, ... < T.
 
     The caller's process draws the first block. When there is a second, a
-    child forked by _forked draws the rest into one pipe that holds
-    _NOISE_AHEAD blocks (F_SETPIPE_SZ, where it exists) while the caller
+    child forked by _forked draws the rest into one pipe while the caller
     steps, and each block is read into the one buffer the generator holds.
     The child makes the same draw_noise calls on the same generators, so every
     block holds the bits an in-process draw gives; without a child, this
@@ -210,9 +208,6 @@ def _noise_blocks(problem: Problem, steppers, T: int, steps: int):
         yield draw(0, block)
         return
     src_fd, sink = os.pipe()
-    with contextlib.suppress(ImportError, AttributeError, OSError):  # not Linux, or past a limit
-        import fcntl
-        fcntl.fcntl(sink, fcntl.F_SETPIPE_SZ, _NOISE_AHEAD * block.nbytes)
 
     def draw_ahead():  # the sink stays open until os._exit, so a traceback precedes the EOF
         for t in starts[1:]:
@@ -410,7 +405,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     comm = np.zeros((C, T + 1), dtype=bool)
     record = np.zeros((C, T + 1), dtype=bool)
     for k, config in enumerate(configs):
-        comm[k, np.asarray(config.schedule.tau[1:], dtype=np.int64)] = True
+        comm[k, config.schedule.tau[1:]] = True
         record[k, :: config.record_stride] = True
     record[:, 0] = record[:, T] = True
     record |= comm & np.array([[c.record_comm or c.stop_below is not None] for c in configs])

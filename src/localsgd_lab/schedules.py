@@ -10,17 +10,25 @@ admissibility checks that the convergence guarantees need.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Immutable round-length sequence with precomputed boundaries tau."""
+    """Immutable round-length sequence with precomputed boundaries tau.
+
+    H stays a tuple of Python ints, so a schedule's equality, hash and repr, and
+    every printed width, are those of its widths. tau = (0, H_1, H_1 + H_2, ...,
+    T) is one read-only int64 array, 8 bytes a boundary where a tuple would
+    hold a Python int of about 36 bytes, and a fixed-width schedule has up to T
+    rounds. T is a Python int.
+    """
 
     H: tuple[int, ...]
-    tau: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    tau: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         H = tuple(map(int, self.H))
@@ -29,12 +37,17 @@ class Schedule:
         if H != tuple(self.H) or min(H) < 1:  # name the first bad width
             i, h = next((i, h) for i, h in enumerate(self.H) if int(h) != h or int(h) < 1)
             raise ValueError(f"H[{i}] = {h!r}: round lengths must be integers >= 1")
+        if (T := sum(H)) > np.iinfo(np.int64).max:
+            raise ValueError(f"round lengths sum to T = {T}, past the int64 range of a step index")
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "tau", tuple(itertools.accumulate(H, initial=0)))
+        tau = np.zeros(len(H) + 1, dtype=np.int64)
+        np.cumsum(H, out=tau[1:])
+        tau.flags.writeable = False
+        object.__setattr__(self, "tau", tau)
 
     @property
     def T(self) -> int:
-        return self.tau[-1]
+        return int(self.tau[-1])
 
     @property
     def R(self) -> int:
@@ -138,8 +151,8 @@ def check_thm1_condition(schedule: Schedule, mu: float, L: float, beta: float) -
     """Round i passes iff H_i <= mu * (beta + tau_{i-1}) / (12 L)."""
     if not (mu > 0 and L > 0 and beta > 0):
         raise ValueError(f"need mu > 0, L > 0 and beta > 0, got mu={mu}, L={L}, beta={beta}")
-    caps = tuple(mu * (beta + schedule.tau[i]) / (12 * L) for i in range(schedule.R))
-    per_round = tuple(h <= cap for h, cap in zip(schedule.H, caps))
+    caps = tuple((mu * (beta + schedule.tau[:-1]) / (12 * L)).tolist())
+    per_round = tuple(h <= cap for h, cap in zip(schedule.H, caps))  # exact for any int width
     return RoundConditionReport(per_round, caps, all(per_round))
 
 
@@ -166,9 +179,8 @@ def weighted_cubic_sum(schedule: Schedule, beta: float) -> float:
     """sum_i H_i**3 / (tau_{i-1} + beta), the cost entering the inverse-time bound."""
     if beta <= 0:
         raise ValueError(f"need beta > 0, got {beta}")
-    return math.fsum(
-        h**3 / (schedule.tau[i] + beta) for i, h in enumerate(schedule.H)
-    )
+    # Python ints, so a cube wider than int64 stays exact until its one division
+    return math.fsum(h**3 / (t + beta) for h, t in zip(schedule.H, schedule.tau.tolist()))
 
 
 def _explicit(H) -> Schedule:

@@ -984,6 +984,36 @@ def test_schedule_explicit_checks_T(capsys):
     assert main(["schedule", "explicit", "--H", "2", "3", "--T", "5"]) == 0
 
 
+def test_schedule_command_output_is_pinned(capsys):
+    # sha256 of the bytes the command printed while tau was a tuple of Python ints
+    assert main(["schedule", "increasing-power", "--a", "2.2", "--s", "0.13", "--T", "10000",
+                 "--mu", "0.1", "--L", "1", "--beta", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "np." not in out  # no np.int64(...) or np.float64(...) repr among the values
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d9dc3e37ed2491fe93f234d407383336da2ab00ef04c1d77f641316dc9e3f5d9")
+
+
+def test_schedule_into_a_closed_pipe_exits_1_without_a_traceback():
+    # a reader that stops after one line, as `| head -1` does; the report is
+    # megabytes long, so the command is still writing when the pipe closes
+    src = str(Path(localsgd_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fds = Path("/proc/self/fd")
+    before = sorted(os.listdir(fds)) if fds.is_dir() else None
+    with subprocess.Popen([sys.executable, "-m", "localsgd_lab.cli", "schedule", "fixed-width",
+                           "--H", "1", "--T", "50000", "--mu", "0.1", "--L", "1", "--beta", "200"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"H = [1, 1, ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    if before is not None:
+        assert sorted(os.listdir(fds)) == before
+
+
 def test_every_surface_takes_the_registered_names():
     names = list(STRATEGIES)
     assert set(ALIASES) < set(names)

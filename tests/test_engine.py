@@ -627,7 +627,7 @@ def test_stopped_lanes_are_the_prefix_of_their_unstopped_runs(case, problem_seed
             t_end = int(want[0].t[i])
             # the mean iterate at the crossing ends a run whose schedule ends there
             if t_end:
-                rounds = config.schedule.tau.index(t_end)
+                (rounds,) = np.flatnonzero(config.schedule.tau == t_end)
                 cut = replace(config, schedule=Schedule(config.schedule.H[:rounds]), series=(),
                               stop_below=None)
                 x_ends = [m.final_x_bar for m in run_cells(p, [cut], seeds)[0]]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import jsonschema
@@ -30,7 +31,8 @@ def test_schedule_invariants():
     s = Schedule((3, 1, 2))
     assert s.T == 6
     assert s.R == 3
-    assert s.tau == (0, 3, 4, 6)
+    assert s.tau.dtype == np.int64 and not s.tau.flags.writeable
+    assert s.tau.tolist() == [0, 3, 4, 6]
 
 
 def test_schedule_rejects_bad_rounds():
@@ -38,6 +40,47 @@ def test_schedule_rejects_bad_rounds():
         Schedule((3, 0, 2))
     with pytest.raises(ValueError):
         Schedule((1.5, 2))
+    with pytest.raises(ValueError, match="past the int64 range"):
+        Schedule((2**62, 2**62))
+
+
+def _reference_checks(H, mu, L, beta):
+    """check_thm1_condition's caps and results and weighted_cubic_sum, computed
+    round by round from a tuple of Python-int boundaries."""
+    tau = tuple(itertools.accumulate(H, initial=0))
+    caps = tuple(mu * (beta + tau[i]) / (12 * L) for i in range(len(H)))
+    per_round = tuple(h <= cap for h, cap in zip(H, caps))
+    weighted = math.fsum(h**3 / (tau[i] + beta) for i, h in enumerate(H))
+    return caps, per_round, weighted
+
+
+def _positive():
+    return st.floats(1e-3, 1e3) | st.integers(1, 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(narrow=st.lists(st.integers(1, 400), max_size=60), wide=st.integers(2**21 + 1, 2**31),
+       at=st.integers(0, 60), mu=_positive(), L=_positive(), beta=_positive())
+def test_tau_array_keeps_every_value_of_the_tuple_it_replaced(narrow, wide, at, mu, L, beta):
+    # one round is wider than 2**21, so its cube is past the int64 range
+    H = tuple(narrow[:at] + [wide] + narrow[at:])
+    assert wide**3 > np.iinfo(np.int64).max
+    s = Schedule(H)
+    assert s.tau.dtype == np.int64 and not s.tau.flags.writeable
+    assert s.tau.tolist() == list(itertools.accumulate(H, initial=0))
+    with pytest.raises(ValueError):
+        s.tau[0] = 1
+    assert type(s.T) is int and s.T == sum(H)
+    assert s == Schedule(list(H)) and hash(s) == hash(Schedule(H)) and repr(s) == f"Schedule(H={H!r})"
+
+    caps, per_round, weighted = _reference_checks(H, mu, L, beta)
+    cond = check_thm1_condition(s, mu, L, beta)
+    assert all(type(c) is float for c in cond.caps)
+    assert [c.hex() for c in cond.caps] == [c.hex() for c in caps]
+    assert all(type(ok) is bool for ok in cond.per_round)
+    assert cond.per_round == per_round and cond.all_pass is all(per_round)
+    got = weighted_cubic_sum(s, beta)
+    assert type(got) is float and got.hex() == weighted.hex()
 
 
 def test_empty_schedule_is_refused_at_both_entry_points():
