@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import sys
@@ -62,6 +63,7 @@ from .schedules import (
 )
 
 _SPLIT_VALUES = 1 << 16  # CSV values worth a forked formatter: a fork costs about 3 ms, a value 1 us
+_CSV_ROWS = 256  # rows of one block formatted at once; bounds the cell strings held
 
 _NUM = {"type": "number"}
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
@@ -399,15 +401,21 @@ def _cells(column) -> list[str]:
 
 
 def _write_rows(fh, blocks):
-    """The rows of (key, columns) blocks: one row per column entry."""
+    """The rows of (key, columns) blocks: one row per column entry. A block is
+    formatted _CSV_ROWS rows at a time, so the cell strings held at once stay
+    under _CSV_ROWS rows' worth however long the block is."""
     for key, columns in blocks:
         key = _fmt(key) + ","
-        fh.writelines(key + ",".join(row) + "\n" for row in zip(*map(_cells, columns)))
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            cells = [_cells(column[lo:lo + _CSV_ROWS]) for column in columns]
+            fh.writelines(key + ",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_blocks(path: Path, header: list[str], blocks):
     """_write_csv for (key, columns) blocks, each column a numpy array or a
-    list of formatted cells.
+    list of formatted cells. Each process formats _CSV_ROWS rows at a time
+    (see _write_rows), so the write's working memory does not grow with its
+    rows.
 
     When there are two or more blocks holding _SPLIT_VALUES values or more, a
     child forked by engine._forked formats the blocks past the half-way value
@@ -482,9 +490,18 @@ def write_convergence_csv(path: Path, by_label: dict):
                    for label, agg in by_label.items()))
 
 
+def _constants_meta(problem) -> dict:
+    """The problem's constants that run_meta.json records, with their provenance."""
+    consts = problem.constants()
+    names = ("L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "f_star")
+    return {**{name: getattr(consts, name) for name in names},
+            "provenance": {name: consts.provenance[name] for name in names}}
+
+
 def _write_meta(outdir: Path, cfg: dict, spec: ExperimentSpec, extra: dict):
     meta = {
         "version": __version__,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
         "kind": spec.kind,
         "seeds": list(spec.seeds),
         "config": cfg,
@@ -520,8 +537,10 @@ def cmd_run(args) -> int:
         spec = spec_from_config(cfg, args.seed_offset)
         outdir = Path(args.out or cfg.get("output") or "results")
         _check_outdir(outdir)
-        # speedup builds one problem per n itself
-        problem = None if spec.kind == "speedup" else problem_from_spec(cfg["problem"])
+        if spec.kind == "speedup":  # one problem per n
+            problems = {n: problem_from_spec({**spec.problem, "n": n}) for n in spec.n_list}
+        else:
+            problem = problem_from_spec(cfg["problem"])
     except ValueError as exc:  # a ConfigError too
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
@@ -547,20 +566,18 @@ def cmd_run(args) -> int:
                 "measure": spec.measure,
             }
         elif spec.kind == "speedup":
-            rows, notes = run_speedup_experiment(spec)
+            rows, notes = run_speedup_experiment(spec, problems)
             files = {"speedup.csv": (write_rows_csv, rows)}
-            extra = {"notes": notes}
+            extra = {"notes": notes,
+                     "constants": {n: _constants_meta(p) for n, p in problems.items()}}
         else:
             by_label = run_strategy_compare(problem, spec)
             files = {"convergence.csv": (write_convergence_csv, by_label),
                      **{f"cells/{label}/metrics.csv": (write_metrics_csv, agg)
                         for label, agg in by_label.items()}}
             extra = {}
-        if problem is not None:
-            consts = problem.constants()
-            names = ("L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "f_star")
-            extra["constants"] = {**{name: getattr(consts, name) for name in names},
-                                  "provenance": {name: consts.provenance[name] for name in names}}
+        if spec.kind != "speedup":
+            extra["constants"] = _constants_meta(problem)
         for name, (write, result) in files.items():
             (outdir / name).parent.mkdir(parents=True, exist_ok=True)
             write(outdir / name, result)

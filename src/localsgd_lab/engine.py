@@ -68,7 +68,7 @@ from .schedules import Schedule
 
 _SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
 _NOISE_BYTES = 64 * 1024  # noise drawn ahead of the step loop, all seeds of a run of steps
-_MEAN_SE_COLUMNS = 1024  # columns per _mean_se pass; bounds its lists of Python floats
+_MEAN_SE_VALUES = 1 << 12  # values (seeds x columns) per _mean_se block; bounds its Python float lists
 _SERIES = ("r", "e", "V", "h")
 
 
@@ -584,8 +584,26 @@ def _first_crossing(values: np.ndarray, eligible: np.ndarray, level: float) -> i
     return int(cols[hit[0]]) if len(hit) else None
 
 
-def _mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and standard errors via compensated summation, (S, K) -> (K,), (K,).
+def _mean_se(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard errors via compensated summation of the (S, K)
+    values whose rows are `rows`, an (S, K) array or S arrays of length K.
+
+    The rows are stacked and reduced one block of _MEAN_SE_VALUES // S columns
+    (at least one) at a time, so the working memory beyond the two (K,)
+    results is about _MEAN_SE_VALUES values at any S and K. Every column is
+    reduced on its own, so the blocks do not change its bits.
+    """
+    S, K = len(rows), len(rows[0])
+    width = max(1, _MEAN_SE_VALUES // S)
+    mean, se = np.empty(K), np.empty(K)
+    for lo in range(0, K, width):
+        cols = slice(lo, lo + width)
+        mean[cols], se[cols] = _block_mean_se(np.stack([row[cols] for row in rows]))
+    return mean, se
+
+
+def _block_mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_mean_se of one (S, K) block.
 
     A column whose exact sums fail (they overflow, or meet both infinities)
     gets the plain IEEE mean, which is then not finite, and a NaN standard
@@ -611,28 +629,27 @@ def _mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fsum_mean_se(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_mean_se with one math.fsum per column and sum, in blocks of columns."""
+    """_block_mean_se with one math.fsum per column and sum. Its lists of
+    Python floats hold the block's values, so _mean_se's block size bounds them."""
     S, K = columns.shape
     mean = np.empty(K)
     se = np.zeros(K)
     failed = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, K, _MEAN_SE_COLUMNS):
-            block = columns[:, lo:lo + _MEAN_SE_COLUMNS]
-            for k, col in enumerate(block.T.tolist(), lo):
+        for k, col in enumerate(columns.T.tolist()):
+            try:
+                mean[k] = math.fsum(col) / S
+            except (OverflowError, ValueError):
+                mean[k] = math.nan
+                failed.append(k)
+        if S > 1:
+            dev = columns - mean
+            np.float_power(dev, 2, out=dev)  # libm pow, as a float64 ** 2; not dev * dev
+            for k, col in enumerate(dev.T.tolist()):
                 try:
-                    mean[k] = math.fsum(col) / S
+                    se[k] = math.sqrt(math.fsum(col) / (S - 1) / S)
                 except (OverflowError, ValueError):
-                    mean[k] = math.nan
                     failed.append(k)
-            if S > 1:
-                dev = block - mean[lo:lo + _MEAN_SE_COLUMNS]
-                np.float_power(dev, 2, out=dev)  # libm pow, as a float64 ** 2; not dev * dev
-                for k, col in enumerate(dev.T.tolist(), lo):
-                    try:
-                        se[k] = math.sqrt(math.fsum(col) / (S - 1) / S)
-                    except (OverflowError, ValueError):
-                        failed.append(k)
         for k in failed:
             mean[k], se[k] = np.sum(columns[:, k]) / S, math.nan
     return mean, se
@@ -663,13 +680,16 @@ def _divergence(runs) -> str:
 def _aggregate(runs) -> AggregateMetrics:
     """Seed-averaged metrics of one config's runs; reduction happens in
     ascending-seed order so the result is independent of the order and
-    partition of the seeds. Only the series the runs computed are reduced."""
+    partition of the seeds. Only the series the runs computed are reduced,
+    each by _mean_se straight from the runs' rows: no series is stacked
+    whole, so beyond the results and the runs this holds one block of about
+    _MEAN_SE_VALUES values, not S x (record points)."""
     runs = sorted(runs, key=lambda m: m.seed)
     stats = {}
     unset = _unset(len(runs[0].t))
     for name in _SERIES:
         stats[f"mean_{name}"], stats[f"se_{name}"] = (
-            _mean_se(np.stack([getattr(m, name) for m in runs]))
+            _mean_se([getattr(m, name) for m in runs])
             if name in runs[0].series else (unset, unset))
     [mean_avg_h], [se_avg_h] = _mean_se(np.array([[m.avg_h] for m in runs]))
     return AggregateMetrics(

@@ -392,11 +392,13 @@ def run_rounds_to_target(problem: Problem, spec: ExperimentSpec) -> list[Tradeof
     return rows
 
 
-def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict]:
+def run_speedup_experiment(spec: ExperimentSpec,
+                           problems: dict[int, Problem] | None = None) -> tuple[list[SpeedupRow], dict]:
     """Error vs n at fixed T, normalized by the n=1 single-worker run.
 
-    The problem is rebuilt from its generator spec once per n, and each n runs
-    every cell as one batch; the c-sweep runs at the largest n. Families with
+    problems maps each n of spec.n_list to its problem; by default each is
+    built from spec.problem's generator spec with that n. Each n runs every
+    cell as one batch; the c-sweep runs at the largest n. Families with
     a minimizer are scored by seed-mean r_T, the nonconvex family by the
     time-averaged squared gradient norm. Returns the rows and the notes: under "sweeps", the c-sweep of every
     cell that swept c, by label.
@@ -408,7 +410,8 @@ def run_speedup_experiment(spec: ExperimentSpec) -> tuple[list[SpeedupRow], dict
     if spec.T is None or spec.T < 1:
         raise ValueError("speedup needs T >= 1")
     T = spec.T
-    problems = {n: problem_from_spec({**spec.problem, "n": n}) for n in spec.n_list}
+    if problems is None:
+        problems = {n: problem_from_spec({**spec.problem, "n": n}) for n in spec.n_list}
 
     notes: dict = {}
     cs = [None] * len(spec.cells)

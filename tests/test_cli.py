@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -952,7 +953,31 @@ def test_run_speedup_csv_layout(tmp_path, capsys):
     first = lines[1].split(",")
     assert first[1] == "1" and float(first[6]) == 1.0
     meta = json.loads((tmp_path / "res" / "run_meta.json").read_text())
-    assert meta["notes"] == {} and "constants" not in meta  # one problem per n
+    assert meta["notes"] == {}
+
+
+def test_run_meta_records_every_speedup_problems_constants_by_n(tmp_path, capsys):
+    # a speedup builds one problem per n, and records each one's constants
+    cfg = speedup_cfg(tmp_path / "res")
+    cfg["experiment"]["n_list"] = [1, 2, 16]
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 0
+    text = (tmp_path / "res" / "run_meta.json").read_text()
+    names = ["L", "mu", "sigma_bar_sq", "sigma_sq", "G", "B", "f_star"]
+    want = {}
+    for n in (1, 2, 16):
+        consts = problem_from_spec({**cfg["problem"], "n": n}).constants()
+        want[str(n)] = {**{name: getattr(consts, name) for name in names},
+                        "provenance": {name: "analytic" for name in names}}
+    constants = json.loads(text)["constants"]
+    assert constants == want and list(constants) == ["1", "2", "16"]  # in the order of n
+    assert constants["1"]["G"] != constants["16"]["G"]
+
+
+def test_run_meta_records_the_python_and_numpy_versions(tmp_path, capsys):
+    out = tmp_path / "res"
+    assert main(["run", write_cfg(tmp_path, speedup_cfg(out))]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["environment"] == {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def test_schedule_command_prints(capsys):

@@ -3,6 +3,7 @@ import errno
 import math
 import os
 import signal
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localsgd_lab import engine
+from localsgd_lab.cli import _cells, write_metrics_csv
 from localsgd_lab.engine import (
     ConstantStepsize,
     InverseTimeStepsize,
@@ -930,12 +932,13 @@ _EXTREMES = [math.inf, -math.inf, math.nan, 1e308, -1e308, 1e200, -1e160, 5e-324
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 3), st.data())
 def test_mean_se_equals_fsum_reference(S, block, data):
-    # up to two seeds the columns skip the blocks unless they are not finite
-    K = data.draw(st.integers(block + 1, block + 8) if S <= 2 else st.integers(1, 5))
+    # blocks of `block` columns at every seed count; up to two seeds a block's
+    # columns skip the fsum loop unless they are not finite
+    K = data.draw(st.integers(1, block + 8))
     values = data.draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_EXTREMES)),
                                 min_size=S * K, max_size=S * K))
     columns = np.array(values, dtype=float).reshape(S, K)
-    with mock.patch.object(engine, "_MEAN_SE_COLUMNS", block):
+    with mock.patch.object(engine, "_MEAN_SE_VALUES", block * S):
         mean, se = _mean_se(columns)
     want_mean, want_se = fsum_mean_se(columns)
     assert mean.tobytes() == want_mean.tobytes()
@@ -966,3 +969,36 @@ def test_mean_se_squares_round_like_pow():
     want = math.sqrt(math.fsum([(v - mean) ** 2 for v in col]) / 2 / 3)
     assert want != math.sqrt(math.fsum([(v - mean) * (v - mean) for v in col]) / 2 / 3)
     assert _mean_se(np.array([col]).T)[1][0] == want
+
+
+def test_aggregate_and_metrics_csv_work_in_fixed_size_blocks(tmp_path):
+    # the README bounds config's shape at 200 seeds: reducing and writing its
+    # series take working memory of fixed size, not seeds x record points (a
+    # whole-series stack alone is 3.2 MB), with the bits of the one-block
+    # reduction and of formatting each block's columns whole
+    S, K = 200, 2001
+    store = np.random.default_rng(0).lognormal(0.0, 3.0, size=(len(engine._SERIES), S, K))
+    store[1, 3, 10], store[2, 5, 20] = math.inf, math.nan
+    t, is_comm = np.arange(K), np.arange(K) % 7 == 0
+    runs = [engine.RunMetrics(seed=j, t=t, **dict(zip(engine._SERIES, store[:, j])),
+                              is_comm=is_comm, final_x_bar=np.zeros(3), avg_h=math.nan,
+                              series=engine._SERIES, track_averages=False)
+            for j in range(S)]
+    tracemalloc.start()
+    try:
+        agg = _aggregate(runs)
+        write_metrics_csv(tmp_path / "metrics.csv", agg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    for name, values in zip(engine._SERIES, store):
+        want_mean, want_se = fsum_mean_se(values)
+        assert getattr(agg, f"mean_{name}").tobytes() == want_mean.tobytes()
+        assert getattr(agg, f"se_{name}").tobytes() == want_se.tobytes()
+    assert agg.diverged == (3,)
+    # each seed's columns formatted whole, as one unchunked block
+    want = "".join([",".join(["seed", "t", *engine._SERIES, "is_comm_round"]) + "\n"] +
+                   [f"{j}," + ",".join(row) + "\n" for j in range(S)
+                    for row in zip(*map(_cells, (t, *store[:, j], is_comm)))])
+    assert (tmp_path / "metrics.csv").read_text() == want
