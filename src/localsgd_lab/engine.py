@@ -7,6 +7,9 @@ seed) pair: configs that share n, x0, T and track_averages but differ in
 schedule, stepsize or record_stride run together on the same seeds, and all
 lanes share one state array of shape (C, S, n, d) that advances in one numpy
 pass per step. Each step averages only the configs that communicate after it.
+Only the record points, their store and the schedules' H and tau grow with T:
+the plans (who averages and who records after each step) and the step sizes
+are built for one chunk of steps, a whole number of noise blocks, at a time.
 
 Gradient noise at step t comes from a counter-based generator keyed by
 (seed, t), with agent i reading row i of the step's noise block. It does not
@@ -67,6 +70,7 @@ from .objectives import Problem
 from .schedules import Schedule
 
 _SNAPSHOT_BYTES = 64 * 1024  # state snapshots held between two metric passes
+_PLAN_STEPS = 1024  # steps whose plans and step sizes are held at once, in whole noise blocks
 _NOISE_BYTES = 64 * 1024  # noise drawn ahead of the step loop, all seeds of a run of steps
 _MEAN_SE_VALUES = 1 << 12  # values (seeds x columns) per _mean_se block; bounds its Python float lists
 _SERIES = ("r", "e", "V", "h")
@@ -348,30 +352,29 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
 
     Each (config, seed) pair is a lane, and all lanes share one (C, S, n, d)
     state that every step advances in one numpy pass. The configs must share
-    n, x0, T and track_averages; they may differ in schedule, stepsize (each
-    evaluated for all T steps up front), record_stride, record_comm, series
-    and stop_below, and each records the series of _SERIES it names at its
-    own points (see RunConfig); config.seed is ignored. Seed s's noise for
-    step t is drawn once, from its own (seed, t) stream, for every config, so
-    a lane's metrics are bitwise those of the one-config, one-seed batch.
+    n, x0, T and track_averages; they may differ in schedule, stepsize,
+    record_stride, record_comm, series and stop_below, and each records the
+    series of _SERIES it names at its own points (see RunConfig); config.seed
+    is ignored. Seed s's noise for step t is drawn once, from its own (seed,
+    t) stream, for every config, so a lane's metrics are bitwise those of the
+    one-config, one-seed batch. Only the record points and their store grow
+    with T: hold builds the plans and step sizes of one chunk of about
+    _PLAN_STEPS steps at a time.
 
     A config with stop_below ends at the first record point, t = 0 or a
     communication instant, where the seed mean of its series (the mean
     _mean_se gives over these seeds) is at most stop_below. The metric pass
     after that point finds it; the config's lanes end there, bitwise the
-    prefix of their unstopped run, and leave the batch: the pass drops their
-    rows and rebuilds the state of the rest with hold, as at the start, so a
+    prefix of their unstopped run, and leave the batch: their rows go, and
+    hold rebuilds the rest of the chunk for the others, as at the start, so a
     lone survivor steps as a one-config batch would. A stop thus depends
     on the whole seed list of the call: a config's result does not depend on
     which other configs share the call, but it does on which seeds do. When
     every config has stopped, the loop ends.
 
-    The noise is drawn ahead in blocks of about _NOISE_BYTES. This process
-    draws the first; if the run has a second, a child forked here draws the
-    rest into a pipe while the steps run (see _noise_blocks), and on one CPU,
-    without os.fork or when os.fork fails, this process draws them all, with
-    the same bits. The child is reaped before run_cells returns or raises, and
-    a child that fails raises NoiseDrawError here.
+    The noise is drawn ahead in blocks of about _NOISE_BYTES (see
+    _noise_blocks); a child process that draws them is reaped before run_cells
+    returns or raises, and one that fails raises NoiseDrawError here.
     """
     configs = list(configs)
     seeds = [int(s) for s in seeds]
@@ -402,23 +405,20 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     f_star = consts.f_star
     have_star = x_star is not None
 
-    comm = np.zeros((C, T + 1), dtype=bool)
-    record = np.zeros((C, T + 1), dtype=bool)
-    for k, config in enumerate(configs):
-        comm[k, config.schedule.tau[1:]] = True
-        record[k, :: config.record_stride] = True
-    record[:, 0] = record[:, T] = True
-    record |= comm & np.array([[c.record_comm or c.stop_below is not None] for c in configs])
-    rec_t = [np.flatnonzero(mask) for mask in record]
-    rec_comm = [comm[k, t] for k, t in enumerate(rec_t)]
+    rec_t, rec_comm = [], []  # each config's record points, from its own (T + 1,) masks
+    for config in configs:
+        comm, record = np.zeros((2, T + 1), dtype=bool)
+        comm[config.schedule.tau[1:]] = record[::config.record_stride] = record[T] = True
+        record |= comm & (config.record_comm or config.stop_below is not None)
+        rec_t.append(np.flatnonzero(record))
+        rec_comm.append(comm[rec_t[-1]])
+    del comm, record
     # the series some config computes, in _SERIES order, and each config's rows of them
     need = [name for name in _SERIES if any(name in config.series for config in configs)]
     picks = [slice(None) if list(config.series) == need else
              [need.index(name) for name in config.series] for config in configs]
     store = [np.empty((len(config.series), S, len(t))) for config, t in zip(configs, rec_t)]
     filled = [0] * C
-    # a config that computes no series records its t but copies no state
-    snap = record & np.array([[bool(config.series)] for config in configs])
     # the stopping configs' levels, and the record points a stop may fall on
     stops = {k: config.stop_below for k, config in enumerate(configs)
              if config.stop_below is not None}
@@ -430,41 +430,50 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         run = len(ids) and ids[-1] - ids[0] == len(ids) - 1
         return slice(ids[0], ids[-1] + 1) if run else ids if len(ids) else None
 
-    def plans(held_by, t0):
-        """plan[t] for t >= t0 (None before): what happens after step t - 1 to
-        the configs held_by (indices into configs, held at rows 0, 1, ... of
-        X): the rows averaged and the rows copied, each None (no row), a
-        slice (a run of rows, indexed as a view) or their indices, and the
-        copied configs' indices. One plan per distinct column of (comm; snap)."""
-        cols = np.vstack([comm[held_by, t0:], snap[held_by, t0:]])
+    def plans(held_by, t0, t1):
+        """plan[t - t0], t0 <= t <= t1: what happens after step t - 1 to the
+        configs held_by (indices into configs, held at rows 0, 1, ... of X):
+        the rows averaged and the rows copied, each None (no row), a slice (a
+        run of rows, indexed as a view) or their indices, and the copied
+        configs' indices. One plan per distinct column of (comm; snap), and a
+        config that computes no series records its t but copies no state."""
+        cols = np.zeros((2 * len(held_by), t1 + 1 - t0), dtype=bool)
+        for i, k in enumerate(held_by.tolist()):
+            for row, points, on in ((i, configs[k].schedule.tau[1:], True),
+                                    (len(held_by) + i, rec_t[k], bool(configs[k].series))):
+                lo, hi = np.searchsorted(points, [t0, t1 + 1])
+                cols[row, points[lo:hi] - t0] = on
         packed = np.ascontiguousarray(np.packbits(cols, axis=0).T)
         _, first_t, plan_at = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                         return_index=True, return_inverse=True)
         avg, rec = cols[:len(held_by)], cols[len(held_by):]
         made = [(lanes(avg[:, t]), lanes(rec[:, t]), held_by[rec[:, t]]) for t in first_t.tolist()]
-        return [None] * t0 + [made[i] for i in plan_at.tolist()]
+        return [made[i] for i in plan_at.tolist()]
 
-    def hold(held_by, X, t0):
-        """The state of the configs held_by, at rows 0, 1, ... of X, from step t0:
-        the stepped view (X[0] for one config: no unit axis), a gradient buffer,
-        eta (T,) if they share a stepsize, else (T, C', 1, 1, 1), and the plans."""
+    def hold(held_by, X, t0, t1):
+        """The state of the configs held_by, at rows 0, 1, ... of X, for steps
+        t0 <= t < t1: the stepped view (X[0] for one config: no unit axis), a
+        gradient buffer, eta (t1 - t0,) if they share a stepsize, else
+        (t1 - t0, C', 1, 1, 1), and the plans of t0..t1."""
         Y = X[0] if len(held_by) == 1 else X
         rows = [rate_row[k] for k in held_by.tolist()]
+        rates = [np.broadcast_to(policy.at(np.arange(t0, t1)), t1 - t0) for policy in policies]
         eta = (rates[rows[0]] if rows.count(rows[0]) == len(rows) else
-               np.array([rates[i] for i in rows]).T.reshape(T, -1, 1, 1, 1))
-        return Y, np.empty(Y.shape), eta, plans(held_by, t0)
+               np.array([rates[i] for i in rows]).T.reshape(t1 - t0, len(rows), 1, 1, 1))
+        return Y, np.empty(Y.shape), eta, plans(held_by, t0, t1)
 
-    # eta_t for t < T of each distinct stepsize, evaluated once, and each config's row of it
+    # the distinct stepsizes, and each config's index into them
     policies = list(dict.fromkeys(config.stepsize for config in configs))
-    rates = [np.broadcast_to(policy.at(np.arange(T)), T) for policy in policies]
     rate_row = [policies.index(config.stepsize) for config in configs]
     held_by = np.arange(C)  # the config of each row of X
     X = np.tile(first.x0, (C, S, n, 1))
-    Y, G, eta, plan = hold(held_by, X, 0)  # G holds the stochastic gradient of each step
     noise = None
     steppers = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else []
     # block[j] is the (S, ...) noise of step t + j, taken at the t that `steps` divides
     steps = max(1, min(T, _NOISE_BYTES // problem.noise_block(S).nbytes))
+    chunk = steps * max(1, _PLAN_STEPS // steps)  # steps t0 <= t < end, whole noise blocks
+    t0, end = 0, min(T, chunk)
+    Y, G, eta, plan = hold(held_by, X, t0, end)  # G holds the stochastic gradient of each step
     grads = problem.stochastic_grads
     value = problem._global_value
     grad = problem._global_grad
@@ -479,21 +488,25 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
 
     def snapshot(t):
         """Copy the states of the configs that record at t, after a metric pass
-        if the buffer is full; a config that pass stops leaves the batch first."""
-        nonlocal held
-        if held + len(plan[t][2]) > len(snaps):
-            flush(t)
-        if len(held_by) and plan[t][1] is not None:  # else the pass stopped every recorder
-            ids = plan[t][2]
-            snaps[held:held + len(ids)] = X[plan[t][1]]
+        if the buffer is full; a config that pass stops leaves the batch first,
+        its rows of X go, and hold rebuilds the rest of the chunk from t."""
+        nonlocal held, held_by, X, Y, G, eta, plan, t0
+        if held + len(plan[t - t0][2]) > len(snaps) and flush():
+            keep = [i for i, k in enumerate(held_by.tolist()) if k not in ends]
+            held_by, X = held_by[keep], X[keep]
+            if keep:
+                t0 = t
+                Y, G, eta, plan = hold(held_by, X, t0, end)
+        if len(held_by) and plan[t - t0][1] is not None:  # else the pass stopped every recorder
+            ids = plan[t - t0][2]
+            snaps[held:held + len(ids)] = X[plan[t - t0][1]]
             owners.append(ids)
             held += len(ids)
 
-    def flush(t):
+    def flush():
         """The needed series of the held rows at once, (k, S, ...) -> each
-        config's columns. A config that stops at one of them leaves the batch:
-        its rows of X go, and hold rebuilds the batch's state from step t."""
-        nonlocal held, held_by, X, Y, G, eta, plan
+        config's columns; whether a config stops at one of them."""
+        nonlocal held
         Xs = snaps[:held]
         xbar = np.add.reduce(Xs, axis=2) / n  # ndarray.mean's bits, without its wrapper
         points = xbar.reshape(-1, d)
@@ -526,17 +539,16 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                     stopped = True
         owners.clear()
         held = 0
-        if stopped:
-            keep = [i for i, k in enumerate(held_by.tolist()) if k not in ends]
-            held_by, X = held_by[keep], X[keep]
-            if keep:
-                Y, G, eta, plan = hold(held_by, X, t)
+        return stopped
 
     with (np.errstate(over="ignore", invalid="ignore"),  # _aggregate reports divergence
           contextlib.closing(_noise_blocks(problem, steppers, T, steps)) as blocks):
         if plan[0][1] is not None:  # every config records t = 0
             snapshot(0)
         for t in range(T):
+            if t == end:  # the next chunk's plans and step sizes
+                t0, end = t, min(T, t + chunk)
+                Y, G, eta, plan = hold(held_by, X, t0, end)
             if track:
                 xbar = (np.add.reduce(X, axis=2) / n).reshape(-1, d)
                 g = grad(xbar)
@@ -547,17 +559,17 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                     block = next(blocks)
                 noise = block[j]
             grads(Y, noise, out=G)
-            G *= eta[t]
+            G *= eta[t - t0]
             Y -= G
-            avg, rec, _ = plan[t + 1]
+            avg, rec, _ = plan[t + 1 - t0]
             if avg is not None:
                 X[avg] = np.add.reduce(X[avg], axis=2, keepdims=True) / n
             if rec is not None:
                 snapshot(t + 1)
                 if not len(held_by):
                     break
-        if held:
-            flush(T)
+        if held:  # a stop it finds needs no rebuild: no step follows
+            flush()
         final_x_bar = dict(zip(held_by.tolist(), np.add.reduce(X, axis=2) / n))
     final_x_bar |= ended_at
 

@@ -1141,6 +1141,41 @@ def test_cli_import_loads_only_numpy_beyond_the_standard_library():
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "localsgd_lab"}
 
 
+# AC4's race at a shorter horizon: some cells stop, one does not reach the threshold
+RTT_RACE = {
+    "experiment": {"kind": "rounds-to-target", "t_max": 2000, "threshold": 0.03, "measure": "r",
+                   "cells": [{"label": "increasing", "kind": "increasing-power", "a": 2.2,
+                              "s": 0.13}] +
+                            [{"label": f"fixed{H}", "kind": "fixed-width", "H": H}
+                             for H in (1, 2, 5, 10, 20, 50)]},
+    "problem": {"family": "strongly-convex-quadratic", "n": 8, "d": 10, "mu": 0.1, "L": 1.0,
+                "delta": 4.0, "sigma_noise": 1.0, "seed": 1},
+    "stepsize": {"policy": "inverse-time", "beta": 200.0},
+    "seeds": {"count": 2, "base": 1000}}
+
+
+def test_run_leaves_numpy_ma_unimported(tmp_path):
+    # a plain np.unique (no index, inverse or counts) calls np.ma.is_masked, and
+    # np.isin and np.union1d reach numpy.ma too: its first import costs about
+    # 1.4 MB of resident memory and 12 ms, so no run path may use them
+    configs = {"rounds-to-target": RTT_RACE, "bounds": README_BOUNDS[0]}
+    script = ("import json, sys\n"
+              "from localsgd_lab.cli import main\n"
+              "for path, out in json.loads(sys.argv[1]):\n"
+              "    assert main(['run', path, '--out', out]) == 0\n"
+              "    print('numpy.ma' in sys.modules)\n")
+    runs = [(write_cfg(tmp_path, cfg, f"{kind}.json"), str(tmp_path / kind))
+            for kind, cfg in configs.items()]
+    src = str(Path(localsgd_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert [line for line in proc.stdout.splitlines() if "results" not in line] == ["False"] * 2
+    rows = (tmp_path / "rounds-to-target" / "tradeoff.csv").read_text().splitlines()
+    assert [row.split(",")[3] for row in rows[1:]] == ["1"] * 6 + ["0"]
+
+
 def schema_nodes(schema):
     """Every subschema of schema, itself included."""
     yield schema

@@ -683,6 +683,99 @@ def test_a_stop_rebuilds_the_batch_as_each_config_runs_alone(case):
             assert_runs_bitwise_equal(a, b)
 
 
+@st.composite
+def chunk_cases(draw):
+    family = draw(st.sampled_from(["strongly-convex-quadratic", "logistic"]))
+    n, d, T = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 40))
+    policies = [ConstantStepsize(0.3, n, T), ConstantStepsize(0.8, n, T),
+                InverseTimeStepsize(0.5, 20.0)]
+    steps = draw(st.lists(st.sampled_from(policies), min_size=3, max_size=4)
+                 .filter(lambda chosen: len(set(chosen)) > 1))
+    cells = []
+    for step in steps:  # (schedule, record_stride, stepsize, record_comm) per config
+        cuts = draw(st.lists(st.integers(1, T - 1), max_size=6, unique=True)) if T > 1 else []
+        tau = [0, *sorted(cuts), T]
+        cells.append((Schedule(tuple(b - a for a, b in zip(tau, tau[1:]))),
+                      draw(st.integers(1, T + 1)), step, draw(st.booleans())))
+    series = draw(st.sampled_from(["h", "V"] if family == "logistic" else ["r", "e", "h", "V"]))
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True))
+    # (plan constant, steps per noise block): chunks of 1, 2 and 3 one-step
+    # blocks, and a constant that the k-step block does not divide
+    plan, k = draw(st.sampled_from([(1, 1), (2, 1), (3, 1)]) | st.integers(2, 5).flatmap(
+        lambda k: st.tuples(st.integers(k + 1, 3 * k).filter(lambda m: m % k), st.just(k))))
+    rows = draw(st.sampled_from([1, 2, 1000]))  # snapshot rows per metric pass
+    return family, n, d, cells, series, seeds, plan, k, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(chunk_cases(), st.integers(0, 50), st.data())
+def test_plan_chunks_leave_lanes_bitwise_equal(case, problem_seed, data):
+    # plans and step sizes rebuilt every 1, 2 or 3 steps, or every whole noise
+    # block, give the lanes of one chunk over the whole run. The configs'
+    # stepsizes differ, so a stop rebuilds a (steps, C', 1, 1, 1) eta: with
+    # one- or two-row metric passes and one-step chunks a stop is found at a
+    # chunk's last step, and with 1000 rows the final pass finds it
+    family, n, d, cells, series, seeds, plan, k, rows = case
+    p = _family(family, n, d, problem_seed)
+    configs = [cfg(p, sched, step, record_stride=stride, track_averages=False,
+                   series=(series,), record_comm=comm) for sched, stride, step, comm in cells]
+    stopping = []
+    for i, (config, lanes) in enumerate(zip(configs, run_cells(p, configs, seeds))):
+        agg = _aggregate(lanes)
+        means = getattr(agg, f"mean_{series}")[eligible_points(agg)]
+        # a level some eligible seed mean meets; no stop, or one, for the others
+        level = st.sampled_from(sorted(means.tolist()))
+        stopping.append(replace(config, stop_below=data.draw(level if i == 0 else
+                                                             st.none() | level)))
+    row_bytes = len(seeds) * n * p.dim * 8
+    with mock.patch.object(engine, "_SNAPSHOT_BYTES", rows * row_bytes):
+        want = run_cells(p, stopping, seeds)
+        with (mock.patch.object(engine, "_PLAN_STEPS", plan),
+              mock.patch.object(engine, "_NOISE_BYTES", k * p.noise_block(len(seeds)).nbytes)):
+            got = run_cells(p, stopping, seeds)
+    for lanes_want, lanes_got in zip(want, got):
+        for a, b in zip(lanes_want, lanes_got):
+            assert_runs_bitwise_equal(a, b)
+
+
+def traced_peak(fn):
+    """fn()'s result, and the tracemalloc peak and retained bytes of the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, retained
+
+
+def test_run_cells_memory_is_flat_in_the_horizon():
+    # run_cells holds plans and step sizes for one chunk of steps at a time, so
+    # beyond its record points and store nothing it holds grows with T. Sized
+    # (C, T + 1) masks, a (T + 1)-long plan list and (T,) step sizes grew the
+    # pilot's peak 0.2 -> 1.65 MB from T = 5000 to 40000, and the race's to 5.5 MB
+    p = make_strongly_convex_quadratics(n=8, d=10, mu=0.1, L=1.0, delta=4.0, sigma_noise=1.0,
+                                        seed=1)
+    step, seeds = InverseTimeStepsize(0.1, 200.0), [1000, 1001]
+    peaks = {}
+    for T in (5000, 40000):  # AC4's H=1 pilot: two record points at any T
+        pilot = cfg(p, fixed_width_schedule(1, T), step, record_stride=T, track_averages=False)
+        lanes, peaks[T], _ = traced_peak(lambda: run_cells(p, [pilot], seeds))
+    assert peaks[40000] - peaks[5000] < 0.1e6
+    # AC4's race at T = 40000, stopping at 10 times the pilot's r_T. Its
+    # results hold 2.2 MB (every cell records its communication instants);
+    # what it holds besides them stays under 0.5 MB, where whole-horizon
+    # plans and step sizes held 3.3 MB
+    level = 10 * float(_aggregate(lanes[0]).mean_r[-1])
+    race = [cfg(p, sched, step, record_stride=T, track_averages=False, series=("r",),
+                record_comm=True, stop_below=level)
+            for sched in [increasing_power_schedule(2.2, 0.13, T)] +
+            [fixed_width_schedule(H, T) for H in (1, 2, 5, 10, 20, 50)]]
+    got, peak, retained = traced_peak(lambda: run_cells(p, race, seeds))
+    assert all(cell[0].t[-1] < T for cell in got)  # every cell stops, the last near T = 24000
+    assert peak < 3e6 and peak - retained < 0.5e6
+
+
 def test_stop_below_needs_one_series_and_no_running_averages():
     p = noisy_problem()
     sched, step = fixed_schedule(10, 2), ConstantStepsize(0.1, p.n, 10)
