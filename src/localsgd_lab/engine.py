@@ -33,8 +33,8 @@ record point, t = 0 or a communication instant, at which the seed mean of its
 one series is at most that level, and the batch drops them and steps on
 without them. A stop is found at the metric pass after it, so the steps
 between the two are discarded, and the lanes are bitwise the prefix of their
-unstopped run; that pass rebuilds the batch's state without their rows, by
-the rule that built it. The seed mean is taken over the seeds of the call, so
+unstopped run; that pass ends the current chunk, and the next is built
+without their rows. The seed mean is taken over the seeds of the call, so
 a stopped lane depends on which seeds share its call, not on which configs do.
 
 Recorded series (sampled at t = 0, the multiples of record_stride and t = T,
@@ -358,15 +358,16 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     is ignored. Seed s's noise for step t is drawn once, from its own (seed,
     t) stream, for every config, so a lane's metrics are bitwise those of the
     one-config, one-seed batch. Only the record points and their store grow
-    with T: hold builds the plans and step sizes of one chunk of about
-    _PLAN_STEPS steps at a time.
+    with T: the step loop builds the batch's state (the stepped view of X, the
+    gradient buffer, step sizes and plans) at the first step of each chunk of
+    about _PLAN_STEPS steps.
 
     A config with stop_below ends at the first record point, t = 0 or a
     communication instant, where the seed mean of its series (the mean
     _mean_se gives over these seeds) is at most stop_below. The metric pass
     after that point finds it; the config's lanes end there, bitwise the
-    prefix of their unstopped run, and leave the batch: their rows go, and
-    hold rebuilds the rest of the chunk for the others, as at the start, so a
+    prefix of their unstopped run, and leave the batch: the pass ends the
+    chunk at its record point, and the next is built without their rows, so a
     lone survivor steps as a one-config batch would. A stop thus depends
     on the whole seed list of the call: a config's result does not depend on
     which other configs share the call, but it does on which seeds do. When
@@ -386,6 +387,8 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         raise ValueError("seeds must be distinct")
     if min(seeds) < 0:
         raise ValueError(f"need seeds >= 0, got {min(seeds)}")
+    if max(seeds) >= 2**64:  # a seed keys a uint64 Philox counter
+        raise ValueError(f"need seeds < 2**64, got {max(seeds)}")
     first = configs[0]
     for config in configs:
         if config.n != problem.n:
@@ -450,18 +453,6 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         made = [(lanes(avg[:, t]), lanes(rec[:, t]), held_by[rec[:, t]]) for t in first_t.tolist()]
         return [made[i] for i in plan_at.tolist()]
 
-    def hold(held_by, X, t0, t1):
-        """The state of the configs held_by, at rows 0, 1, ... of X, for steps
-        t0 <= t < t1: the stepped view (X[0] for one config: no unit axis), a
-        gradient buffer, eta (t1 - t0,) if they share a stepsize, else
-        (t1 - t0, C', 1, 1, 1), and the plans of t0..t1."""
-        Y = X[0] if len(held_by) == 1 else X
-        rows = [rate_row[k] for k in held_by.tolist()]
-        rates = [np.broadcast_to(policy.at(np.arange(t0, t1)), t1 - t0) for policy in policies]
-        eta = (rates[rows[0]] if rows.count(rows[0]) == len(rows) else
-               np.array([rates[i] for i in rows]).T.reshape(t1 - t0, len(rows), 1, 1, 1))
-        return Y, np.empty(Y.shape), eta, plans(held_by, t0, t1)
-
     # the distinct stepsizes, and each config's index into them
     policies = list(dict.fromkeys(config.stepsize for config in configs))
     rate_row = [policies.index(config.stepsize) for config in configs]
@@ -471,9 +462,8 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
     steppers = [_StepNoise(s) for s in seeds] if problem.has_gradient_noise else []
     # block[j] is the (S, ...) noise of step t + j, taken at the t that `steps` divides
     steps = max(1, min(T, _NOISE_BYTES // problem.noise_block(S).nbytes))
-    chunk = steps * max(1, _PLAN_STEPS // steps)  # steps t0 <= t < end, whole noise blocks
-    t0, end = 0, min(T, chunk)
-    Y, G, eta, plan = hold(held_by, X, t0, end)  # G holds the stochastic gradient of each step
+    chunk = steps * max(1, _PLAN_STEPS // steps)  # chunks end at its multiples, whole noise blocks
+    t0 = end = 0  # the batch's state covers steps t0 <= t < end, and t = end rebuilds it
     grads = problem.stochastic_grads
     value = problem._global_value
     grad = problem._global_grad
@@ -488,24 +478,19 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
 
     def snapshot(t):
         """Copy the states of the configs that record at t, after a metric pass
-        if the buffer is full; a config that pass stops leaves the batch first,
-        its rows of X go, and hold rebuilds the rest of the chunk from t."""
-        nonlocal held, held_by, X, Y, G, eta, plan, t0
-        if held + len(plan[t - t0][2]) > len(snaps) and flush():
-            keep = [i for i, k in enumerate(held_by.tolist()) if k not in ends]
-            held_by, X = held_by[keep], X[keep]
-            if keep:
-                t0 = t
-                Y, G, eta, plan = hold(held_by, X, t0, end)
-        if len(held_by) and plan[t - t0][1] is not None:  # else the pass stopped every recorder
-            ids = plan[t - t0][2]
-            snaps[held:held + len(ids)] = X[plan[t - t0][1]]
-            owners.append(ids)
-            held += len(ids)
+        if the buffer is full; a stop that pass finds ends the chunk at t."""
+        nonlocal held, end
+        _, rows, ids = plan[t - t0]
+        if held + len(ids) > len(snaps) and flush():
+            end = t
+        snaps[held:held + len(ids)] = X[rows]
+        owners.append(ids)
+        held += len(ids)
 
     def flush():
         """The needed series of the held rows at once, (k, S, ...) -> each
-        config's columns; whether a config stops at one of them."""
+        config's columns; whether a config stops at one of them. The rows of
+        a config that stopped at an earlier pass are dropped."""
         nonlocal held
         Xs = snaps[:held]
         xbar = np.add.reduce(Xs, axis=2) / n  # ndarray.mean's bits, without its wrapper
@@ -525,12 +510,12 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
         vals = np.stack([out[name] for name in need])
         owner = np.concatenate(owners)
         stopped = False
-        for k in sorted(set(owner.tolist())):  # each config's rows, in their order in time
+        for k in sorted(set(owner.tolist()) - ends.keys()):  # each config's rows, in time order
             rows = np.flatnonzero(owner == k)
             was = filled[k]
             filled[k] += len(rows)
             store[k][:, :, was:filled[k]] = vals[:, rows][picks[k]].transpose(0, 2, 1)
-            if k in stops:  # a stopped config holds no rows after its stop's pass
+            if k in stops:
                 i = _first_crossing(store[k][0, :, was:filled[k]],
                                     can_stop[k][was:filled[k]], stops[k])
                 if i is not None:
@@ -543,12 +528,24 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
 
     with (np.errstate(over="ignore", invalid="ignore"),  # _aggregate reports divergence
           contextlib.closing(_noise_blocks(problem, steppers, T, steps)) as blocks):
-        if plan[0][1] is not None:  # every config records t = 0
-            snapshot(0)
         for t in range(T):
-            if t == end:  # the next chunk's plans and step sizes
-                t0, end = t, min(T, t + chunk)
-                Y, G, eta, plan = hold(held_by, X, t0, end)
+            if t == end:  # the next chunk's batch state, without the stopped configs' rows
+                keep = [i for i, k in enumerate(held_by.tolist()) if k not in ends]
+                if not keep:
+                    break
+                held_by, X = held_by[keep], X[keep]
+                t0, end = t, min(T, t - t % chunk + chunk)
+                Y = X[0] if len(keep) == 1 else X  # the stepped view: no unit axis for one config
+                G = np.empty(Y.shape)  # the stochastic gradient of each step
+                # eta[t - t0]: a scalar if the configs share a stepsize, else a (C', 1, 1, 1) column
+                own = [rate_row[k] for k in held_by.tolist()]
+                rates = [np.broadcast_to(policy.at(np.arange(t0, end)), end - t0)
+                         for policy in policies]
+                eta = (rates[own[0]] if own.count(own[0]) == len(own) else
+                       np.array([rates[i] for i in own]).T.reshape(end - t0, len(own), 1, 1, 1))
+                plan = plans(held_by, t0, end)
+                if not t and plan[0][1] is not None:  # every config records t = 0
+                    snapshot(0)
             if track:
                 xbar = (np.add.reduce(X, axis=2) / n).reshape(-1, d)
                 g = grad(xbar)
@@ -566,9 +563,7 @@ def run_cells(problem: Problem, configs, seeds) -> list[list[RunMetrics]]:
                 X[avg] = np.add.reduce(X[avg], axis=2, keepdims=True) / n
             if rec is not None:
                 snapshot(t + 1)
-                if not len(held_by):
-                    break
-        if held:  # a stop it finds needs no rebuild: no step follows
+        if held:
             flush()
         final_x_bar = dict(zip(held_by.tolist(), np.add.reduce(X, axis=2) / n))
     final_x_bar |= ended_at

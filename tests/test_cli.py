@@ -854,6 +854,20 @@ def test_run_seed_offset(tmp_path, capsys):
     assert meta["seeds"] == [50, 51, 52, 53]
 
 
+def test_run_exit2_on_a_seed_past_the_noise_key_range(tmp_path, capsys):
+    # a seed keys a uint64 Philox counter: 2**64 is refused as a config
+    # error whether the config or --seed-offset puts it there, and 2**64 - 1 runs
+    for seeds, offset in (([2**64], 0), ({"count": 4, "base": 0}, 2**64 - 3)):
+        cfg_path = write_cfg(tmp_path, bounds_cfg(tmp_path / "bad", seeds=seeds))
+        assert main(["run", cfg_path, "--seed-offset", str(offset)]) == 2
+        assert capsys.readouterr().err == f"invalid config: need seeds < 2**64, got {2**64}\n"
+        assert not (tmp_path / "bad").exists()
+    cfg_path = write_cfg(tmp_path, bounds_cfg(tmp_path / "res", seeds=[2**64 - 1]))
+    assert main(["run", cfg_path]) == 0
+    meta = json.loads((tmp_path / "res" / "run_meta.json").read_text())
+    assert meta["seeds"] == [2**64 - 1]
+
+
 def test_run_rounds_to_target_outputs(tmp_path, capsys):
     cfg = {
         "experiment": {"kind": "rounds-to-target", "t_max": 300, "measure": "r",

@@ -653,7 +653,8 @@ def test_stopped_lanes_are_the_prefix_of_their_unstopped_runs(case, problem_seed
 @pytest.mark.parametrize("case", ["survivor-runs-alone", "stop-at-final-pass", "two-stop-at-once"])
 def test_a_stop_rebuilds_the_batch_as_each_config_runs_alone(case):
     # a stop rebuilds the batch's state from the configs left; their stepsizes
-    # differ, so a lone survivor steps with its own (T,) stepsizes
+    # differ, so a lone survivor steps with its own stepsizes, one per step of
+    # the chunk
     p, T, seeds = noisy_problem(), 60, [3, 8]
 
     def config(c, H, stop_below=None):
@@ -681,6 +682,40 @@ def test_a_stop_rebuilds_the_batch_as_each_config_runs_alone(case):
     for config, lanes in zip(configs, got):
         for a, b in zip(lanes, run_cells(p, [config], seeds)[0]):
             assert_runs_bitwise_equal(a, b)
+
+
+def test_a_stop_drops_its_rows_from_the_next_step():
+    # one chunk covers the run, and a two-row buffer makes metric passes in
+    # mid-chunk: the step after the pass that finds the stop already runs
+    # without the stopped config's rows, not the steps to the chunk's end
+    p, T, seeds = noisy_problem(), 60, [3, 8]
+    configs = [cfg(p, fixed_width_schedule(H, T), ConstantStepsize(c, p.n, T),
+                   record_stride=T + 1, track_averages=False, series=("r",))
+               for c, H in ((0.3, 5), (0.8, 4))]
+    agg = _aggregate(run_cells(p, [replace(configs[0], record_comm=True)], seeds)[0])
+    configs[0] = replace(configs[0], stop_below=float(agg.mean_r[list(agg.t).index(10)]))
+    grads, first_crossing = p.stochastic_grads, engine._first_crossing
+    rows, found = [], []  # the configs stepped at each step; the steps taken at each stop found
+
+    def counted(X, noise, out=None):
+        rows.append(X.size // (len(seeds) * p.n * p.dim))
+        return grads(X, noise, out=out)
+
+    def crossing(*args):
+        i = first_crossing(*args)
+        if i is not None:
+            found.append(len(rows))
+        return i
+
+    state_bytes = len(seeds) * p.n * p.dim * 8
+    with (mock.patch.object(engine, "_PLAN_STEPS", 2 * T),
+          mock.patch.object(engine, "_SNAPSHOT_BYTES", 2 * state_bytes),
+          mock.patch.object(p, "stochastic_grads", counted),
+          mock.patch.object(engine, "_first_crossing", crossing)):
+        got = run_cells(p, configs, seeds)
+    [t] = found
+    assert got[0][0].t[-1] < t < T and got[1][0].t[-1] == T
+    assert rows == [2] * t + [1] * (T - t)
 
 
 @st.composite
